@@ -37,8 +37,9 @@ echo "== serve + resilience smoke =="
 # fails to run and 3 if any check fails. Run twice under different
 # AP_PAR_THREADS: smoke output uses fixed-clock reporting, so the JSON
 # must be byte-identical (the planner is deterministic across thread
-# counts).
-cargo test -q --offline -p ap-json -p ap-resilience -p ap-serve
+# counts). The per-crate test line also runs the pipesim, controller
+# (autopipe) and bench suites, so a change to them blocks a merge.
+cargo test -q --offline -p ap-json -p ap-resilience -p ap-serve -p ap-pipesim -p autopipe -p ap-bench
 serve_tmp="$(mktemp -d)"
 trap 'rm -rf "$serve_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/a"

@@ -9,9 +9,9 @@
 //! `bert48`, `gpt2_small`, `gpt2_medium`.
 //!
 //! Prints PipeDream's one-shot plan and AutoPipe's environment-aware
-//! refinement with predicted and simulated throughput, per-worker memory
-//! estimates, and (with `--trace`) a Chrome-trace timeline of the refined
-//! plan's first iterations.
+//! refinement with predicted and simulated throughput, the peak per-stage
+//! memory from the ap-mem planning model, and (with `--trace`) a
+//! Chrome-trace timeline of the refined plan's first iterations.
 
 use std::env;
 use std::fs;
@@ -21,8 +21,9 @@ use ap_bench::{engine_throughput, ExperimentEnv};
 use ap_cluster::dynamics::BgJobId;
 use ap_cluster::gpu::GpuKind;
 use ap_cluster::{gbps, ClusterState, ClusterTopology, EventKind, GpuId, ResourceTimeline};
+use ap_mem::MemoryModel;
 use ap_models::ModelProfile;
-use ap_pipesim::{estimate_memory, to_chrome_trace, Engine, EngineConfig, SyncScheme};
+use ap_pipesim::{to_chrome_trace, Engine, EngineConfig, SyncScheme};
 use ap_planner::{pipedream_plan, PipeDreamView};
 use autopipe::controller::hill_climb;
 
@@ -157,10 +158,16 @@ fn main() {
         let simulated = engine_throughput(&profile, plan, &state, &env, 24);
         println!("{name} plan: {}", plan.summary());
         println!("  predicted {analytic:8.1} samples/s   simulated {simulated:8.1} samples/s");
-        let mem = estimate_memory(&profile, plan, env.schedule);
-        let worst = mem.iter().map(|e| e.total()).fold(0.0f64, f64::max);
+        let mem = ap_mem::check(
+            &profile,
+            plan,
+            env.schedule,
+            &MemoryModel::default(),
+            &state,
+        );
+        let worst = mem.stages.iter().map(|s| s.required).fold(0.0f64, f64::max);
         println!(
-            "  peak worker memory {:.2} GB of {:.0} GB",
+            "  peak stage memory {:.2} GB of {:.0} GB",
             worst / 1e9,
             GpuKind::P100.memory_bytes() / 1e9
         );

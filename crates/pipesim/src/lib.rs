@@ -32,7 +32,6 @@ pub mod convergence;
 pub mod engine;
 pub mod framework;
 pub mod json;
-pub mod memory;
 pub mod partition;
 pub mod program;
 pub mod schedule;
@@ -48,7 +47,6 @@ pub use engine::{
     WorkKind,
 };
 pub use framework::Framework;
-pub use memory::{cap_in_flight, estimate as estimate_memory, max_in_flight, MemoryEstimate};
 pub use partition::{Partition, PartitionError, Stage};
 pub use program::{ProgramEval, ProgramPricer};
 pub use schedule::ScheduleKind;

@@ -25,6 +25,19 @@ pub enum Admit {
     Closed(TcpStream),
 }
 
+/// A consistent reading of the queue, taken under one lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Connections waiting now.
+    pub depth: usize,
+    /// High-water mark of `depth`.
+    pub peak_depth: usize,
+    /// Connections admitted since construction.
+    pub admitted: u64,
+    /// Connections shed since construction.
+    pub shed: u64,
+}
+
 struct Inner {
     q: VecDeque<TcpStream>,
     closed: bool,
@@ -107,10 +120,15 @@ impl AdmissionQueue {
         self.inner.lock().unwrap().q.len()
     }
 
-    /// `(admitted, shed, peak_depth)` counters since construction.
-    pub fn counters(&self) -> (u64, u64, usize) {
+    /// Depth and counters since construction, read together.
+    pub fn stats(&self) -> QueueStats {
         let inner = self.inner.lock().unwrap();
-        (inner.admitted, inner.shed, inner.peak_depth)
+        QueueStats {
+            depth: inner.q.len(),
+            peak_depth: inner.peak_depth,
+            admitted: inner.admitted,
+            shed: inner.shed,
+        }
     }
 }
 
@@ -135,14 +153,13 @@ mod tests {
         assert!(matches!(q.offer(sock()), Admit::Enqueued));
         assert!(matches!(q.offer(sock()), Admit::Shed(_)));
         assert!(matches!(q.offer(sock()), Admit::Shed(_)));
-        let (admitted, shed, peak) = q.counters();
-        assert_eq!((admitted, shed, peak), (2, 2, 2));
+        let s = q.stats();
+        assert_eq!((s.admitted, s.shed, s.peak_depth, s.depth), (2, 2, 2, 2));
         assert_eq!(q.depth(), 2);
         // Popping frees a slot.
         assert!(q.pop().is_some());
         assert!(matches!(q.offer(sock()), Admit::Enqueued));
-        let (_, _, peak) = q.counters();
-        assert_eq!(peak, 2, "peak never exceeds the bound");
+        assert_eq!(q.stats().peak_depth, 2, "peak never exceeds the bound");
     }
 
     #[test]

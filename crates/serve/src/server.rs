@@ -42,7 +42,7 @@ use crate::api::{self, ApiError, ClusterSpec, PlanRequest, SimulateRequest};
 use crate::cache::{fnv1a64, PlanCache};
 use crate::http::{self, ReadError, Request, Timing};
 use crate::jobs;
-use crate::metrics::{Exposition, Histogram};
+use crate::metrics::{render_metrics, render_stats, Endpoint, Histogram, Reason, Snapshot};
 
 /// Knobs for the resilience stack. Defaults suit an interactive daemon;
 /// tests shrink windows and cooldowns (or set a bulkhead to 0) to drive
@@ -137,24 +137,16 @@ struct State {
     /// Tells the acceptor (once woken) to exit.
     stop: AtomicBool,
     started: Instant,
+    /// Requests read off a connection, routed or not.
     requests: AtomicU64,
-    plan_requests: AtomicU64,
-    simulate_requests: AtomicU64,
-    jobs_requests: AtomicU64,
-    schedule_requests: AtomicU64,
-    health_requests: AtomicU64,
-    stats_requests: AtomicU64,
-    metrics_requests: AtomicU64,
-    invalidate_requests: AtomicU64,
-    breaker_requests: AtomicU64,
-    shutdown_requests: AtomicU64,
+    /// Routed requests, indexed by [`Endpoint`].
+    by_endpoint: [AtomicU64; Endpoint::ALL.len()],
     error_responses: AtomicU64,
     /// Responses fully written — the drain-rate numerator for the
     /// computed `Retry-After` hint.
     completed_responses: AtomicU64,
-    degraded_breaker_open: AtomicU64,
-    degraded_deadline: AtomicU64,
-    degraded_verification: AtomicU64,
+    /// Degraded `/plan` answers, indexed by [`Reason`].
+    degraded: [AtomicU64; Reason::ALL.len()],
     /// Memory feasibility checks that fitted (possibly clamped/switched).
     mem_checks_fit: AtomicU64,
     /// Memory feasibility checks where nothing fits — typed rejections.
@@ -198,552 +190,56 @@ impl State {
         )
     }
 
-    fn stats_json(&self) -> Json {
-        let (hits, misses, entries, capacity, generation) = self.cache.lock().unwrap().stats();
-        let hit_rate = self.cache.lock().unwrap().hit_rate();
-        let (admitted, shed, peak_depth) = self.queue.counters();
-        let breaker = self.verify_breaker.snapshot();
-        let plan_bh = self.plan_bulkhead.snapshot();
-        let sim_bh = self.simulate_bulkhead.snapshot();
-        Json::obj(vec![
-            (
-                "requests",
-                Json::obj(vec![
-                    ("total", self.requests.load(Ordering::Relaxed).to_json()),
-                    ("plan", self.plan_requests.load(Ordering::Relaxed).to_json()),
-                    (
-                        "simulate",
-                        self.simulate_requests.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
-                        "health",
-                        self.health_requests.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
-                        "stats",
-                        self.stats_requests.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
-                        "metrics",
-                        self.metrics_requests.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
-                        "invalidate",
-                        self.invalidate_requests.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
-                        "breaker",
-                        self.breaker_requests.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
-                        "shutdown",
-                        self.shutdown_requests.load(Ordering::Relaxed).to_json(),
-                    ),
-                    ("jobs", self.jobs_requests.load(Ordering::Relaxed).to_json()),
-                    (
-                        "schedule",
-                        self.schedule_requests.load(Ordering::Relaxed).to_json(),
-                    ),
-                    (
-                        "errors",
-                        self.error_responses.load(Ordering::Relaxed).to_json(),
-                    ),
-                ]),
-            ),
-            (
-                "uptime_secs",
-                self.started.elapsed().as_secs_f64().to_json(),
-            ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("hits", hits.to_json()),
-                    ("misses", misses.to_json()),
-                    ("entries", entries.to_json()),
-                    ("capacity", capacity.to_json()),
-                    ("hit_rate", hit_rate.to_json()),
-                    ("generation", generation.to_json()),
-                ]),
-            ),
-            (
-                "queue",
-                Json::obj(vec![
-                    ("depth", self.queue.depth().to_json()),
-                    ("capacity", self.queue.capacity().to_json()),
-                    ("peak_depth", peak_depth.to_json()),
-                    ("admitted", admitted.to_json()),
-                    ("shed", shed.to_json()),
-                ]),
-            ),
-            (
-                "resilience",
-                Json::obj(vec![
-                    (
-                        "breaker",
-                        Json::obj(vec![
-                            ("state", breaker.state.id().to_json()),
-                            ("mode", breaker.mode.id().to_json()),
-                            ("opens", breaker.counters.opens.to_json()),
-                            ("rejected", breaker.counters.rejected.to_json()),
-                            ("successes", breaker.counters.successes.to_json()),
-                            ("failures", breaker.counters.failures.to_json()),
-                        ]),
-                    ),
-                    (
-                        "bulkheads",
-                        Json::obj(vec![
-                            (
-                                "plan",
-                                Json::obj(vec![
-                                    ("in_use", plan_bh.in_use.to_json()),
-                                    ("capacity", plan_bh.capacity.to_json()),
-                                    ("rejected", plan_bh.rejected.to_json()),
-                                ]),
-                            ),
-                            (
-                                "simulate",
-                                Json::obj(vec![
-                                    ("in_use", sim_bh.in_use.to_json()),
-                                    ("capacity", sim_bh.capacity.to_json()),
-                                    ("rejected", sim_bh.rejected.to_json()),
-                                ]),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "degraded",
-                        Json::obj(vec![
-                            (
-                                "breaker_open",
-                                self.degraded_breaker_open.load(Ordering::Relaxed).to_json(),
-                            ),
-                            (
-                                "deadline_exhausted",
-                                self.degraded_deadline.load(Ordering::Relaxed).to_json(),
-                            ),
-                            (
-                                "verification_failed",
-                                self.degraded_verification.load(Ordering::Relaxed).to_json(),
-                            ),
-                        ]),
-                    ),
-                ]),
-            ),
-            ("scheduler", {
-                let sched = self.sched.lock().unwrap();
-                let c = sched.counters();
-                Json::obj(vec![
-                    ("resident", sched.n_resident().to_json()),
-                    ("queued", sched.n_queued().to_json()),
-                    ("events", c.events.to_json()),
-                    ("placed", c.placed.to_json()),
-                    ("enqueued", c.queued.to_json()),
-                    ("rejected", c.rejected.to_json()),
-                    ("completed", c.completed.to_json()),
-                    ("evacuated", c.evacuated.to_json()),
-                    ("replans_considered", c.replans_considered.to_json()),
-                    ("plans_moved", c.plans_moved.to_json()),
-                    (
-                        "aggregate_predicted_throughput",
-                        sched.cached_aggregate().to_json(),
-                    ),
-                ])
-            }),
-            ("workers", self.workers.to_json()),
-            ("draining", self.draining.load(Ordering::Relaxed).to_json()),
-        ])
+    /// Count one request routed to `e`.
+    fn hit(&self, e: Endpoint) {
+        self.by_endpoint[e as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The `/metrics` document. Families and label values are emitted in
-    /// a fixed hand-written order, and every label value a series can
-    /// take exists from the first scrape — see the [`crate::metrics`]
-    /// module docs.
-    fn metrics_text(&self) -> String {
-        let (hits, misses, entries, capacity, generation) = self.cache.lock().unwrap().stats();
-        let (admitted, shed, peak_depth) = self.queue.counters();
-        let breaker = self.verify_breaker.snapshot();
-        let plan_bh = self.plan_bulkhead.snapshot();
-        let sim_bh = self.simulate_bulkhead.snapshot();
-        let plan_lat = self.plan_latency.snapshot();
-        let sim_lat = self.simulate_latency.snapshot();
-        let count = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
-
-        let mut e = Exposition::new();
-        e.family(
-            "ap_uptime_seconds",
-            "gauge",
-            "Seconds since the daemon started.",
-        )
-        .sample(
-            "ap_uptime_seconds",
-            &[],
-            self.started.elapsed().as_secs_f64(),
-        );
-        e.family(
-            "ap_requests_total",
-            "counter",
-            "Requests routed, by endpoint.",
-        );
-        for (endpoint, counter) in [
-            ("plan", &self.plan_requests),
-            ("simulate", &self.simulate_requests),
-            ("health", &self.health_requests),
-            ("stats", &self.stats_requests),
-            ("metrics", &self.metrics_requests),
-            ("invalidate", &self.invalidate_requests),
-            ("breaker", &self.breaker_requests),
-            ("shutdown", &self.shutdown_requests),
-            ("jobs", &self.jobs_requests),
-            ("schedule", &self.schedule_requests),
-        ] {
-            e.sample(
-                "ap_requests_total",
-                &[("endpoint", endpoint)],
-                count(counter),
-            );
+    /// Read everything `/stats` and `/metrics` report, taking each lock
+    /// once so values from one source are mutually consistent.
+    fn snapshot(&self) -> Snapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let cache = self.cache.lock().unwrap();
+        let (cache_hits, cache_misses, cache_entries, cache_capacity, cache_generation) =
+            cache.stats();
+        let cache_hit_rate = cache.hit_rate();
+        drop(cache);
+        let sched = self.sched.lock().unwrap();
+        let (sched_resident, sched_queued) = (sched.n_resident(), sched.n_queued());
+        let (sched_counters, sched_aggregate) = (sched.counters(), sched.cached_aggregate());
+        drop(sched);
+        Snapshot {
+            uptime_secs: self.started.elapsed().as_secs_f64(),
+            requests: load(&self.requests),
+            by_endpoint: self.by_endpoint.each_ref().map(load),
+            errors: load(&self.error_responses),
+            degraded: self.degraded.each_ref().map(load),
+            cache_hits,
+            cache_misses,
+            cache_entries,
+            cache_capacity,
+            cache_hit_rate,
+            cache_generation,
+            queue: self.queue.stats(),
+            queue_capacity: self.queue.capacity(),
+            breaker: self.verify_breaker.snapshot(),
+            plan_bulkhead: self.plan_bulkhead.snapshot(),
+            simulate_bulkhead: self.simulate_bulkhead.snapshot(),
+            plan_latency: self.plan_latency.snapshot(),
+            simulate_latency: self.simulate_latency.snapshot(),
+            workers: self.workers,
+            draining: self.draining.load(Ordering::Relaxed),
+            sched_resident,
+            sched_queued,
+            sched: sched_counters,
+            sched_aggregate,
+            sched_neighborhood: load(&self.last_neighborhood),
+            sched_replan_latency: self.sched_replan_latency.snapshot(),
+            mem_fit: load(&self.mem_checks_fit),
+            mem_infeasible: load(&self.mem_checks_infeasible),
+            mem_switches: load(&self.mem_schedule_switches),
+            mem_peak_bytes: load(&self.mem_modeled_peak_bytes),
         }
-        e.family(
-            "ap_error_responses_total",
-            "counter",
-            "Responses with status >= 400, shed connections included.",
-        )
-        .sample(
-            "ap_error_responses_total",
-            &[],
-            count(&self.error_responses),
-        );
-        e.family(
-            "ap_degraded_responses_total",
-            "counter",
-            "200-with-degraded-plan responses, by reason.",
-        );
-        for (reason, counter) in [
-            ("breaker-open", &self.degraded_breaker_open),
-            ("deadline-exhausted", &self.degraded_deadline),
-            ("verification-failed", &self.degraded_verification),
-        ] {
-            e.sample(
-                "ap_degraded_responses_total",
-                &[("reason", reason)],
-                count(counter),
-            );
-        }
-        e.family("ap_cache_hits_total", "counter", "Plan cache hits.")
-            .sample("ap_cache_hits_total", &[], hits as f64);
-        e.family("ap_cache_misses_total", "counter", "Plan cache misses.")
-            .sample("ap_cache_misses_total", &[], misses as f64);
-        e.family("ap_cache_entries", "gauge", "Plans currently cached.")
-            .sample("ap_cache_entries", &[], entries as f64);
-        e.family("ap_cache_capacity", "gauge", "Plan cache capacity.")
-            .sample("ap_cache_capacity", &[], capacity as f64);
-        e.family(
-            "ap_cache_generation",
-            "gauge",
-            "Invalidation generation of the plan cache.",
-        )
-        .sample("ap_cache_generation", &[], generation as f64);
-        e.family(
-            "ap_queue_depth",
-            "gauge",
-            "Connections waiting in the admission queue.",
-        )
-        .sample("ap_queue_depth", &[], self.queue.depth() as f64);
-        e.family("ap_queue_capacity", "gauge", "Admission queue bound.")
-            .sample("ap_queue_capacity", &[], self.queue.capacity() as f64);
-        e.family(
-            "ap_queue_peak_depth",
-            "gauge",
-            "High-water mark of the admission queue.",
-        )
-        .sample("ap_queue_peak_depth", &[], peak_depth as f64);
-        e.family(
-            "ap_queue_admitted_total",
-            "counter",
-            "Connections admitted to the queue.",
-        )
-        .sample("ap_queue_admitted_total", &[], admitted as f64);
-        e.family(
-            "ap_queue_shed_total",
-            "counter",
-            "Connections shed at accept time (503).",
-        )
-        .sample("ap_queue_shed_total", &[], shed as f64);
-        e.family(
-            "ap_breaker_state",
-            "gauge",
-            "Circuit breaker state: 0 closed, 1 open, 2 half-open.",
-        )
-        .sample(
-            "ap_breaker_state",
-            &[("breaker", "verify")],
-            breaker.state.gauge() as f64,
-        );
-        e.family(
-            "ap_breaker_opens_total",
-            "counter",
-            "Times the breaker tripped open.",
-        )
-        .sample(
-            "ap_breaker_opens_total",
-            &[("breaker", "verify")],
-            breaker.counters.opens as f64,
-        );
-        e.family(
-            "ap_breaker_rejected_total",
-            "counter",
-            "Calls rejected by an open breaker.",
-        )
-        .sample(
-            "ap_breaker_rejected_total",
-            &[("breaker", "verify")],
-            breaker.counters.rejected as f64,
-        );
-        e.family(
-            "ap_breaker_failures_total",
-            "counter",
-            "Failure outcomes recorded on the breaker.",
-        )
-        .sample(
-            "ap_breaker_failures_total",
-            &[("breaker", "verify")],
-            breaker.counters.failures as f64,
-        );
-        e.family(
-            "ap_breaker_successes_total",
-            "counter",
-            "Success outcomes recorded on the breaker.",
-        )
-        .sample(
-            "ap_breaker_successes_total",
-            &[("breaker", "verify")],
-            breaker.counters.successes as f64,
-        );
-        e.family(
-            "ap_bulkhead_in_use",
-            "gauge",
-            "Bulkhead permits currently held, by endpoint.",
-        );
-        e.sample(
-            "ap_bulkhead_in_use",
-            &[("endpoint", "plan")],
-            plan_bh.in_use as f64,
-        );
-        e.sample(
-            "ap_bulkhead_in_use",
-            &[("endpoint", "simulate")],
-            sim_bh.in_use as f64,
-        );
-        e.family(
-            "ap_bulkhead_capacity",
-            "gauge",
-            "Bulkhead permit bound, by endpoint.",
-        );
-        e.sample(
-            "ap_bulkhead_capacity",
-            &[("endpoint", "plan")],
-            plan_bh.capacity as f64,
-        );
-        e.sample(
-            "ap_bulkhead_capacity",
-            &[("endpoint", "simulate")],
-            sim_bh.capacity as f64,
-        );
-        e.family(
-            "ap_bulkhead_rejected_total",
-            "counter",
-            "Calls shed at a full bulkhead, by endpoint.",
-        );
-        e.sample(
-            "ap_bulkhead_rejected_total",
-            &[("endpoint", "plan")],
-            plan_bh.rejected as f64,
-        );
-        e.sample(
-            "ap_bulkhead_rejected_total",
-            &[("endpoint", "simulate")],
-            sim_bh.rejected as f64,
-        );
-        e.family(
-            "ap_request_duration_seconds",
-            "histogram",
-            "Compute-endpoint handler latency.",
-        );
-        e.histogram(
-            "ap_request_duration_seconds",
-            &[("endpoint", "plan")],
-            &plan_lat,
-        );
-        e.histogram(
-            "ap_request_duration_seconds",
-            &[("endpoint", "simulate")],
-            &sim_lat,
-        );
-        e.family(
-            "ap_request_latency_seconds",
-            "gauge",
-            "Latency percentiles interpolated from the duration histogram.",
-        );
-        for (endpoint, lat) in [("plan", &plan_lat), ("simulate", &sim_lat)] {
-            for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                e.sample(
-                    "ap_request_latency_seconds",
-                    &[("endpoint", endpoint), ("quantile", label)],
-                    lat.quantile(q),
-                );
-            }
-        }
-        e.family("ap_workers", "gauge", "Worker threads.").sample(
-            "ap_workers",
-            &[],
-            self.workers as f64,
-        );
-        e.family(
-            "ap_draining",
-            "gauge",
-            "1 while the daemon is draining for shutdown.",
-        )
-        .sample(
-            "ap_draining",
-            &[],
-            self.draining.load(Ordering::Relaxed) as u8 as f64,
-        );
-        // Cluster-scheduler families, appended after the legacy skeleton
-        // so pre-existing scrapes stay byte-identical as a prefix.
-        let (resident, queued_depth, sc, aggregate) = {
-            let sched = self.sched.lock().unwrap();
-            (
-                sched.n_resident(),
-                sched.n_queued(),
-                sched.counters(),
-                sched.cached_aggregate(),
-            )
-        };
-        e.family(
-            "ap_sched_jobs_resident",
-            "gauge",
-            "Jobs currently placed on the fabric.",
-        )
-        .sample("ap_sched_jobs_resident", &[], resident as f64);
-        e.family(
-            "ap_sched_jobs_queued",
-            "gauge",
-            "Jobs waiting for capacity.",
-        )
-        .sample("ap_sched_jobs_queued", &[], queued_depth as f64);
-        e.family(
-            "ap_sched_admissions_total",
-            "counter",
-            "Admission outcomes, by kind.",
-        );
-        for (outcome, v) in [
-            ("placed", sc.placed),
-            ("queued", sc.queued),
-            ("rejected", sc.rejected),
-        ] {
-            e.sample(
-                "ap_sched_admissions_total",
-                &[("outcome", outcome)],
-                v as f64,
-            );
-        }
-        e.family(
-            "ap_sched_jobs_completed_total",
-            "counter",
-            "Placed jobs that departed.",
-        )
-        .sample("ap_sched_jobs_completed_total", &[], sc.completed as f64);
-        e.family(
-            "ap_sched_jobs_evacuated_total",
-            "counter",
-            "Jobs moved off a failed worker.",
-        )
-        .sample("ap_sched_jobs_evacuated_total", &[], sc.evacuated as f64);
-        e.family(
-            "ap_sched_events_total",
-            "counter",
-            "Scheduler events processed.",
-        )
-        .sample("ap_sched_events_total", &[], sc.events as f64);
-        e.family(
-            "ap_sched_replans_considered_total",
-            "counter",
-            "Re-plan proposals evaluated across all events.",
-        )
-        .sample(
-            "ap_sched_replans_considered_total",
-            &[],
-            sc.replans_considered as f64,
-        );
-        e.family(
-            "ap_sched_plans_moved_total",
-            "counter",
-            "Re-plans accepted through the switch gate.",
-        )
-        .sample("ap_sched_plans_moved_total", &[], sc.plans_moved as f64);
-        e.family(
-            "ap_sched_neighborhood_size",
-            "gauge",
-            "Contention neighborhood of the last scheduler event.",
-        )
-        .sample(
-            "ap_sched_neighborhood_size",
-            &[],
-            self.last_neighborhood.load(Ordering::Relaxed) as f64,
-        );
-        e.family(
-            "ap_sched_aggregate_predicted_throughput",
-            "gauge",
-            "Sum of per-job predicted throughputs, samples/s.",
-        )
-        .sample("ap_sched_aggregate_predicted_throughput", &[], aggregate);
-        e.family(
-            "ap_sched_replan_duration_seconds",
-            "histogram",
-            "Per-event neighborhood re-planning latency.",
-        );
-        e.histogram(
-            "ap_sched_replan_duration_seconds",
-            &[],
-            &self.sched_replan_latency.snapshot(),
-        );
-        // Memory-accounting families (ap_mem), appended after the
-        // scheduler block for the same prefix-stability reason.
-        e.family(
-            "ap_mem_checks_total",
-            "counter",
-            "Memory feasibility checks on plans and job admissions, by outcome.",
-        );
-        for (outcome, counter) in [
-            ("fit", &self.mem_checks_fit),
-            ("infeasible", &self.mem_checks_infeasible),
-        ] {
-            e.sample(
-                "ap_mem_checks_total",
-                &[("outcome", outcome)],
-                count(counter),
-            );
-        }
-        e.family(
-            "ap_mem_schedule_switches_total",
-            "counter",
-            "Plans that abandoned the requested schedule to fit device memory.",
-        )
-        .sample(
-            "ap_mem_schedule_switches_total",
-            &[],
-            count(&self.mem_schedule_switches),
-        );
-        e.family(
-            "ap_mem_modeled_peak_stage_bytes",
-            "gauge",
-            "Modeled peak per-stage memory of the last fitted plan, bytes.",
-        )
-        .sample(
-            "ap_mem_modeled_peak_stage_bytes",
-            &[],
-            count(&self.mem_modeled_peak_bytes),
-        );
-        e.finish()
     }
 }
 
@@ -827,21 +323,10 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
         stop: AtomicBool::new(false),
         started: Instant::now(),
         requests: AtomicU64::new(0),
-        plan_requests: AtomicU64::new(0),
-        simulate_requests: AtomicU64::new(0),
-        jobs_requests: AtomicU64::new(0),
-        schedule_requests: AtomicU64::new(0),
-        health_requests: AtomicU64::new(0),
-        stats_requests: AtomicU64::new(0),
-        metrics_requests: AtomicU64::new(0),
-        invalidate_requests: AtomicU64::new(0),
-        breaker_requests: AtomicU64::new(0),
-        shutdown_requests: AtomicU64::new(0),
+        by_endpoint: Default::default(),
         error_responses: AtomicU64::new(0),
         completed_responses: AtomicU64::new(0),
-        degraded_breaker_open: AtomicU64::new(0),
-        degraded_deadline: AtomicU64::new(0),
-        degraded_verification: AtomicU64::new(0),
+        degraded: Default::default(),
         mem_checks_fit: AtomicU64::new(0),
         mem_checks_infeasible: AtomicU64::new(0),
         mem_schedule_switches: AtomicU64::new(0),
@@ -1029,7 +514,7 @@ fn route(state: &State, req: &Request) -> Routed {
     let err = |e: ApiError| (e.status, Vec::new(), Body::Json(e.body()));
     // The one parameterized route: `/jobs/{id}` (DELETE only).
     if let Some(id_str) = req.path.strip_prefix("/jobs/") {
-        state.jobs_requests.fetch_add(1, Ordering::Relaxed);
+        state.hit(Endpoint::Jobs);
         if req.method.as_str() != "DELETE" {
             return err(ApiError {
                 status: 405,
@@ -1045,16 +530,17 @@ fn route(state: &State, req: &Request) -> Routed {
     }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => {
-            state.health_requests.fetch_add(1, Ordering::Relaxed);
+            state.hit(Endpoint::Health);
             ok(Json::obj(vec![("status", "ok".to_json())]))
         }
         ("GET", "/stats") => {
-            state.stats_requests.fetch_add(1, Ordering::Relaxed);
-            ok(state.stats_json())
+            state.hit(Endpoint::Stats);
+            ok(render_stats(&state.snapshot()))
         }
         ("GET", "/metrics") => {
-            state.metrics_requests.fetch_add(1, Ordering::Relaxed);
-            (200, Vec::new(), Body::Text(state.metrics_text()))
+            state.hit(Endpoint::Metrics);
+            let text = render_metrics(&state.snapshot());
+            (200, Vec::new(), Body::Text(text))
         }
         ("POST", "/plan") => match handle_plan(state, &req.body) {
             Ok(j) => ok(j),
@@ -1084,12 +570,12 @@ fn route(state: &State, req: &Request) -> Routed {
             Err(e) => err(e),
         },
         ("GET", "/schedule") => {
-            state.schedule_requests.fetch_add(1, Ordering::Relaxed);
+            state.hit(Endpoint::Schedule);
             let sched = state.sched.lock().unwrap();
             ok(ScheduleSnapshot::of(&sched).to_json())
         }
         ("POST", "/invalidate") => {
-            state.invalidate_requests.fetch_add(1, Ordering::Relaxed);
+            state.hit(Endpoint::Invalidate);
             let generation = state.cache.lock().unwrap().invalidate_all();
             ok(Json::obj(vec![
                 ("invalidated", true.to_json()),
@@ -1101,15 +587,11 @@ fn route(state: &State, req: &Request) -> Routed {
             Err(e) => err(e),
         },
         ("POST", "/shutdown") => {
-            state.shutdown_requests.fetch_add(1, Ordering::Relaxed);
+            state.hit(Endpoint::Shutdown);
             state.begin_drain();
             ok(Json::obj(vec![("draining", true.to_json())]))
         }
-        (
-            _,
-            "/health" | "/stats" | "/metrics" | "/plan" | "/simulate" | "/jobs" | "/schedule"
-            | "/invalidate" | "/breaker" | "/shutdown",
-        ) => err(ApiError {
+        (_, path) if Endpoint::of_path(path).is_some() => err(ApiError {
             status: 405,
             kind: "method-not-allowed".to_string(),
             message: format!("{} does not accept {}", req.path, req.method),
@@ -1160,7 +642,7 @@ fn self_observe_mem_fit(state: &State, refined: &api::RefinedPlan) {
 /// open, budget spent, verification error) downgrades the answer to the
 /// analytic one, marked `"degraded": true`; it never becomes a 500.
 fn handle_plan(state: &State, body: &[u8]) -> Result<Json, ApiError> {
-    state.plan_requests.fetch_add(1, Ordering::Relaxed);
+    state.hit(Endpoint::Plan);
     let parsed = api::parse_body(body)?;
     let req = PlanRequest::from_json(&parsed)?;
 
@@ -1208,30 +690,21 @@ fn handle_plan(state: &State, body: &[u8]) -> Result<Json, ApiError> {
             return Err(e);
         }
     };
+    // The analytic answer, marked degraded and counted by reason.
+    let degrade = |reason: Reason| {
+        state.degraded[reason as usize].fetch_add(1, Ordering::Relaxed);
+        Ok(api::plan_response(&req, &refined, None, Some(reason.id())))
+    };
     if deadline.expired() {
         // The analytic phase ate the whole budget; the engine would only
         // overrun further. Counts as a failure on the breaker — a slow
         // dependency and a dead one look the same to the caller.
         state.verify_breaker.record_failure();
-        state.degraded_deadline.fetch_add(1, Ordering::Relaxed);
-        return Ok(api::plan_response(
-            &req,
-            &refined,
-            None,
-            Some("deadline-exhausted"),
-        ));
+        return degrade(Reason::DeadlineExhausted);
     }
 
     match state.verify_breaker.try_acquire() {
-        Admission::Rejected => {
-            state.degraded_breaker_open.fetch_add(1, Ordering::Relaxed);
-            Ok(api::plan_response(
-                &req,
-                &refined,
-                None,
-                Some("breaker-open"),
-            ))
-        }
+        Admission::Rejected => degrade(Reason::BreakerOpen),
         Admission::Allowed => match api::verify_plan(&req, &refined) {
             Ok(verified) => {
                 if deadline.expired() {
@@ -1250,20 +723,14 @@ fn handle_plan(state: &State, body: &[u8]) -> Result<Json, ApiError> {
             }
             Err(_) => {
                 state.verify_breaker.record_failure();
-                state.degraded_verification.fetch_add(1, Ordering::Relaxed);
-                Ok(api::plan_response(
-                    &req,
-                    &refined,
-                    None,
-                    Some("verification-failed"),
-                ))
+                degrade(Reason::VerificationFailed)
             }
         },
     }
 }
 
 fn handle_simulate(state: &State, body: &[u8]) -> Result<Json, ApiError> {
-    state.simulate_requests.fetch_add(1, Ordering::Relaxed);
+    state.hit(Endpoint::Simulate);
     let parsed = api::parse_body(body)?;
     let req = SimulateRequest::from_json(&parsed)?;
     let Some(_permit) = state.simulate_bulkhead.try_acquire() else {
@@ -1284,7 +751,7 @@ fn handle_simulate(state: &State, body: &[u8]) -> Result<Json, ApiError> {
 /// the placement when it fits, 202 when queued with a typed reason, 409
 /// when the cluster can never host it.
 fn handle_job_submit(state: &State, body: &[u8]) -> Result<(u16, Json), ApiError> {
-    state.jobs_requests.fetch_add(1, Ordering::Relaxed);
+    state.hit(Endpoint::Jobs);
     let parsed = api::parse_body(body)?;
     let req = jobs::parse_submit(&parsed)?;
     let now = state.started.elapsed().as_secs_f64();
@@ -1336,7 +803,7 @@ fn handle_job_delete(state: &State, id_str: &str) -> Result<Json, ApiError> {
 /// maintenance — and the deterministic way to exercise the degraded
 /// path.
 fn handle_breaker(state: &State, body: &[u8]) -> Result<Json, ApiError> {
-    state.breaker_requests.fetch_add(1, Ordering::Relaxed);
+    state.hit(Endpoint::Breaker);
     let parsed = api::parse_body(body)?;
     if parsed.as_obj().is_none() {
         return Err(ApiError::bad_request(

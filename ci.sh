@@ -12,7 +12,7 @@ echo "== fmt =="
 cargo fmt --check
 
 echo "== clippy =="
-cargo clippy --offline --all-targets -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== build =="
 cargo build --release --offline
@@ -37,9 +37,10 @@ echo "== serve + resilience smoke =="
 # fails to run and 3 if any check fails. Run twice under different
 # AP_PAR_THREADS: smoke output uses fixed-clock reporting, so the JSON
 # must be byte-identical (the planner is deterministic across thread
-# counts). The per-crate test line also runs the pipesim, controller
-# (autopipe) and bench suites, so a change to them blocks a merge.
-cargo test -q --offline -p ap-json -p ap-resilience -p ap-serve -p ap-pipesim -p autopipe -p ap-bench
+# counts). The per-crate test line also runs the pipesim, cluster
+# (max-min fill), controller (autopipe) and bench suites, so a change to
+# them blocks a merge.
+cargo test -q --offline -p ap-json -p ap-resilience -p ap-serve -p ap-pipesim -p ap-cluster -p autopipe -p ap-bench
 serve_tmp="$(mktemp -d)"
 trap 'rm -rf "$serve_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/a"

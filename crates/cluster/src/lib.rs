@@ -31,7 +31,7 @@ pub mod gpu;
 pub mod topology;
 pub mod units;
 
-pub use bandwidth::{max_min_fair_rates, Flow};
+pub use bandwidth::{max_min_fair_rates, FairShare, Flow};
 pub use detector::{ChangeKind, DetectorConfig, ResourceChange, ResourceChangeDetector};
 pub use dynamics::{
     BackgroundJobGenerator, ClusterState, DiurnalGenerator, EventKind, ResourceEvent,

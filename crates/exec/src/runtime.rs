@@ -151,7 +151,7 @@ impl ExecSpec {
             return Err("in_flight must be at least 1".into());
         }
         let m = self.schedule.micro_batches();
-        if self.batch % m != 0 {
+        if !self.batch.is_multiple_of(m) {
             return Err(format!(
                 "batch {} must divide evenly into {m} micro-batches",
                 self.batch

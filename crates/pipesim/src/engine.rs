@@ -24,7 +24,9 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use ap_cluster::{max_min_fair_rates, ClusterState, EventKind, Flow, GpuId, ResourceTimeline};
+use ap_cluster::{
+    max_min_fair_rates, ClusterState, EventKind, FairShare, Flow, GpuId, ResourceTimeline,
+};
 use ap_models::ModelProfile;
 
 use crate::calibration::Calibration;
@@ -478,6 +480,12 @@ pub struct Engine<'a> {
     /// consult the controller immediately instead of waiting for the
     /// completion cadence.
     fault_consult: bool,
+    // Hot-loop buffers, kept across ticks so the rate solve and the drain
+    // allocate nothing.
+    /// Transfer rates solved once per tick.
+    fair_share: FairShare,
+    /// Activities that completed in the current step.
+    completed: Vec<Activity>,
 }
 
 impl<'a> Engine<'a> {
@@ -542,6 +550,8 @@ impl<'a> Engine<'a> {
             fault_log: Vec::new(),
             active_migration: None,
             fault_consult: false,
+            fair_share: FairShare::default(),
+            completed: Vec::new(),
         })
     }
 
@@ -825,22 +835,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Current transfer rates via max-min fair share.
-    fn transfer_rates(&self) -> Vec<f64> {
-        let flows: Vec<Flow> = self
-            .activities
-            .iter()
-            .filter_map(|a| match a {
-                Activity::Transfer { flow, .. } => Some(flow.clone()),
-                _ => None,
-            })
-            .collect();
+    /// Current transfer rates via max-min fair share, one per transfer
+    /// activity in activity order, solved into `out`.
+    fn solve_transfer_rates(&self, out: &mut FairShare) {
+        let flows = self.activities.iter().filter_map(|a| match a {
+            Activity::Transfer { flow, .. } => Some(flow),
+            _ => None,
+        });
         let comm_eff = self.cfg.framework.comm_efficiency;
         max_min_fair_rates(
-            &flows,
+            flows,
             |l| self.state.available_capacity(l) * comm_eff,
             self.state.topology.local_bytes_per_sec,
-        )
+            out,
+        );
     }
 
     /// Launch the transfer that feeds `unlocks` from `from_worker`.
@@ -1338,7 +1346,7 @@ impl<'a> Engine<'a> {
             // Nothing runnable: only resource events can advance time.
             match self.resources.next_event_after(self.res_cursor) {
                 Some(t) => {
-                    self.advance_to(t);
+                    self.advance_to(t, &[], 1.0);
                     return Ok(());
                 }
                 None => {
@@ -1365,8 +1373,11 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        // Earliest completion among activities at current rates.
-        let rates = self.transfer_rates();
+        // Earliest completion among activities at current rates. Nothing
+        // changes between here and the drain, so one solve serves both.
+        let mut fair_share = std::mem::take(&mut self.fair_share);
+        self.solve_transfer_rates(&mut fair_share);
+        let rates = fair_share.rates();
         let share = self.compute_share();
         let mut t_done = f64::INFINITY;
         let mut ti = 0usize;
@@ -1404,7 +1415,8 @@ impl<'a> Engine<'a> {
             Some(te) if te < t_complete => te,
             _ => t_complete,
         };
-        self.advance_to(t_next);
+        self.advance_to(t_next, rates, share);
+        self.fair_share = fair_share;
         Ok(())
     }
 
@@ -1432,15 +1444,14 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Move time forward to `t`, draining activities and applying any
-    /// resource events at exactly `t`.
-    fn advance_to(&mut self, t: f64) {
+    /// Move time forward to `t`, draining activities at the transfer
+    /// `rates` (one per transfer activity, in order) and compute `share`
+    /// solved at `now`, and applying any resource events at exactly `t`.
+    /// Rates and share only change at event boundaries, so one solve is
+    /// exact for the whole [now, t] interval.
+    fn advance_to(&mut self, t: f64, rates: &[f64], share: f64) {
         let dt = t - self.now;
         debug_assert!(dt >= -1e-9, "time went backwards");
-        let rates = self.transfer_rates();
-        // The busy set only changes at event boundaries, so one share
-        // value is exact for the whole [now, t] interval.
-        let share = self.compute_share();
         let mut ti = 0usize;
         for a in &mut self.activities {
             match a {
@@ -1493,7 +1504,7 @@ impl<'a> Engine<'a> {
 
         // Collect completions. Tolerances absorb float drain error: one
         // FLOP / one byte / a nanosecond are all far below model scale.
-        let mut done = Vec::new();
+        let mut done = std::mem::take(&mut self.completed);
         let mut i = 0;
         while i < self.activities.len() {
             let finished = match &self.activities[i] {
@@ -1513,7 +1524,7 @@ impl<'a> Engine<'a> {
                 i += 1;
             }
         }
-        for a in done {
+        for a in done.drain(..) {
             match a {
                 Activity::Compute {
                     worker,
@@ -1538,6 +1549,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        self.completed = done;
     }
 }
 

@@ -778,7 +778,6 @@ pub fn refine_plan(
     )
     .ok_or_else(|| memory_infeasible_error(&profile, &current, req.schedule, &mem_model, &state))?;
     let mut start_pred = start_pred;
-    let mut current_pred = current_pred;
     if fit.switched || fit.in_flight != current.in_flight {
         current.in_flight = fit.in_flight;
         current_pred = analytic_of(&current, fit.kind);

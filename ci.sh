@@ -18,7 +18,9 @@ echo "== build =="
 cargo build --release --offline
 
 echo "== test =="
-cargo test -q --offline
+# Every crate's suites, not just the root package's: a test that exists
+# blocks a merge.
+cargo test -q --offline --workspace
 
 echo "== chaos drill =="
 # Fault-injection smoke: exits 2 on a wedged (deadlocked) run and 3 if
@@ -37,10 +39,7 @@ echo "== serve + resilience smoke =="
 # fails to run and 3 if any check fails. Run twice under different
 # AP_PAR_THREADS: smoke output uses fixed-clock reporting, so the JSON
 # must be byte-identical (the planner is deterministic across thread
-# counts). The per-crate test line also runs the pipesim, cluster
-# (max-min fill), controller (autopipe) and bench suites, so a change to
-# them blocks a merge.
-cargo test -q --offline -p ap-json -p ap-resilience -p ap-serve -p ap-pipesim -p ap-cluster -p autopipe -p ap-bench
+# counts).
 serve_tmp="$(mktemp -d)"
 trap 'rm -rf "$serve_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/a"

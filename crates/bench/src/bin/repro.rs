@@ -253,7 +253,7 @@ fn run_mem_bench(smoke: bool, json: &Option<PathBuf>) {
 }
 
 /// Simulator-vs-reality: run the same (schedule, partition, bandwidth)
-/// configs on the real `ap-exec` pipeline runtime and as an IR-priced
+/// configs on the real `ap-exec` pipeline runtime and as an event-engine
 /// prediction seeded from a host calibration pass, then replay one
 /// controller-driven §4.4 reconfiguration live. `--schedule <id|all>`
 /// picks which pipeline schedules get sim-vs-real rows (default

@@ -27,14 +27,13 @@
 //! `AP_PAR_THREADS` settings.
 
 use ap_cluster::gpu::GpuKind;
-use ap_cluster::{gbps, ClusterState, ClusterTopology, GpuId};
+use ap_cluster::{gbps, ClusterState, ClusterTopology, GpuId, ResourceTimeline};
 use ap_exec::runtime::{run_pipeline, ExecResult, ExecSpec, SwitchSpec};
 use ap_exec::{calibrate_layer_times, fit_calibration, metrics_from_times};
-use ap_ir::generate;
 use ap_models::ModelProfile;
 use ap_nn::ActKind;
 use ap_pipesim::{
-    AnalyticModel, Calibration, Framework, Partition, ProgramPricer, ScheduleKind, Stage,
+    AnalyticModel, Calibration, Engine, EngineConfig, Framework, Partition, ScheduleKind, Stage,
     SwitchPlan, SyncScheme,
 };
 use autopipe::controller::hill_climb;
@@ -58,9 +57,9 @@ pub struct PartitionRow {
     pub in_flight: usize,
     /// Link throttle, Gbps.
     pub link_gbps: f64,
-    /// IR-priced steady throughput with the raw (uncalibrated) cost
-    /// model, samples/s: [`ProgramPricer`] walking the same op-program
-    /// ap-exec replays. Deterministic in smoke (synthetic times).
+    /// Raw (uncalibrated) steady throughput, samples/s: the event
+    /// [`Engine`] on the same partition and schedule kind, compute + wire
+    /// only. Deterministic in smoke (synthetic times).
     pub predicted: f64,
     /// Analytically predicted steady throughput with the fitted
     /// calibration applied, samples/s — the same closed form the planner
@@ -355,30 +354,28 @@ fn exec_state(n_stages: usize, link_gbps: f64) -> ClusterState {
     ))
 }
 
-/// IR-priced steady throughput in samples/s for one cell: generate the
-/// schedule's op-program and walk it with [`ProgramPricer`] — the exact
-/// program ap-exec replays, priced instead of run.
+/// Raw steady throughput in samples/s for one cell: the event [`Engine`]
+/// run on the cell's partition and schedule kind, compute + wire only.
 fn predict(
     profile: &ModelProfile,
     kind: ScheduleKind,
     cuts: &[usize],
     in_flight: usize,
     link_gbps: f64,
-    calibration: Option<Calibration>,
 ) -> Result<f64, String> {
     let partition = partition_for(cuts, profile.n_layers(), in_flight);
     let state = exec_state(partition.n_stages(), link_gbps);
-    let n = 48;
-    let program = generate(kind, partition.n_stages(), n, in_flight);
-    let pricer = ProgramPricer {
-        profile,
-        partition: &partition,
-        state: &state,
+    let cfg = EngineConfig {
         framework: bare_metal(),
-        calibration,
+        schedule: kind,
+        ..EngineConfig::default()
     };
-    let eval = pricer.price(&program)?;
-    Ok(eval.steady_throughput(n as usize / 3))
+    let n = 48;
+    let result = Engine::new(profile, partition, state, ResourceTimeline::empty(), cfg)
+        .map_err(|e| e.to_string())?
+        .run(n)
+        .map_err(|e| e.to_string())?;
+    Ok(result.steady_throughput(n / 3))
 }
 
 /// Calibrated prediction from the closed-form analytic model — the form
@@ -415,7 +412,7 @@ fn run_cell(
     let r = run_pipeline(&spec)?;
     // Both predictions are pure simulation — deterministic even in smoke.
     let profile = c.profile(link_gbps)?;
-    let predicted = predict(&profile, kind, cuts, c.in_flight, link_gbps, None)?;
+    let predicted = predict(&profile, kind, cuts, c.in_flight, link_gbps)?;
     let predicted_calibrated =
         predict_calibrated(&profile, kind, cuts, c.in_flight, link_gbps, cal);
     // Measured throughput is wall clock; zero it in smoke so reports are

@@ -5,7 +5,8 @@ use ap_cluster::gpu::GpuKind;
 use ap_cluster::{gbps, ClusterTopology, GpuId};
 use ap_models::{bert_n, resnet50, vgg16, ModelProfile};
 use ap_planner::{pipedream_plan, PipeDreamView};
-use autopipe::multi_job::{best_response_rounds, evaluate, JobSpec, MultiJobEnv};
+use ap_sched::tenancy::{best_response_rounds, evaluate, JobSpec, MultiJobEnv};
+use autopipe::HillClimbPlanner;
 
 /// One tenancy configuration's outcome.
 #[derive(Debug, Clone)]
@@ -54,7 +55,8 @@ pub fn run() -> Vec<MultiJobRow> {
     let before = evaluate(&topo, &static_jobs, &env).expect("static tenancy");
 
     let mut adaptive = tenancy(true);
-    let changes = best_response_rounds(&topo, &mut adaptive, &env, 4).expect("best response");
+    let changes = best_response_rounds(&topo, &mut adaptive, &env, 4, &HillClimbPlanner::default())
+        .expect("best response");
     let after = evaluate(&topo, &adaptive, &env).expect("adaptive tenancy");
 
     vec![

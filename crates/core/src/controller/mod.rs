@@ -58,7 +58,7 @@ pub use detect::ChangeMonitor;
 pub use enumerate::MoveEnumerator;
 pub use journal::{DecisionEvent, DecisionJournal, DecisionRecord, KeepReason};
 pub use observe::ProfilerObserver;
-pub use optimize::{hill_climb, refine};
+pub use optimize::{hill_climb, refine, HillClimbPlanner};
 pub use pretrain::pretrain_meta_net;
 pub use retry::RetryPolicy;
 pub use scenario::{run_dynamic_scenario, run_dynamic_scenario_traced, ScenarioResult};

@@ -1,12 +1,15 @@
 //! Steady-state optimization built from the [`Enumerate`] and [`Score`]
 //! stages: the greedy refinement loop shared by the live controller, the
-//! static planners and the multi-job best-response dynamics.
+//! static planners and the multi-job best-response dynamics
+//! ([`HillClimbPlanner`]).
 
 use std::collections::VecDeque;
 
 use ap_cluster::ClusterState;
+use ap_models::ModelProfile;
 use ap_pipesim::{AnalyticModel, Partition};
 use ap_planner::sort_stage_workers_by;
+use ap_sched::tenancy::{MultiJobEnv, ProposePlan};
 
 use super::enumerate::MoveEnumerator;
 use super::score::Scorer;
@@ -77,4 +80,110 @@ pub fn hill_climb(
         max_rounds,
     )
     .0
+}
+
+/// The controller's per-job proposal for multi-job tenancy
+/// ([`ap_sched::tenancy::best_response_rounds`] and the cluster
+/// scheduler): [`hill_climb`] under the analytic model, scored against the
+/// state the rest of the tenancy induces.
+#[derive(Debug, Clone, Copy)]
+pub struct HillClimbPlanner {
+    /// Hill-climb round budget per proposal.
+    pub rounds: usize,
+}
+
+impl Default for HillClimbPlanner {
+    fn default() -> Self {
+        HillClimbPlanner { rounds: 20 }
+    }
+}
+
+impl ProposePlan for HillClimbPlanner {
+    fn propose(
+        &self,
+        profile: &ModelProfile,
+        current: &Partition,
+        state: &ClusterState,
+        env: &MultiJobEnv,
+    ) -> Partition {
+        let model = AnalyticModel {
+            profile,
+            scheme: env.scheme,
+            framework: env.framework,
+            schedule: env.schedule,
+            calibration: None,
+        };
+        hill_climb(&model, current.clone(), state, self.rounds)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ap_cluster::gpu::GpuKind;
+    use ap_cluster::{ClusterTopology, GpuId};
+    use ap_models::resnet50;
+    use ap_planner::{pipedream_plan, PipeDreamView};
+    use ap_sched::tenancy::{best_response_rounds, evaluate, JobSpec};
+
+    fn testbed() -> ClusterTopology {
+        ClusterTopology::single_switch(5, 2, GpuKind::P100, 25.0)
+    }
+
+    fn static_job(adaptive: bool) -> JobSpec {
+        let profile = ModelProfile::of(&resnet50());
+        let gpus: Vec<GpuId> = (0..10).map(GpuId).collect();
+        let partition = pipedream_plan(
+            &profile,
+            &gpus,
+            PipeDreamView {
+                bandwidth: ap_cluster::gbps(25.0),
+                gpu_flops: GpuKind::P100.peak_flops(),
+            },
+        );
+        JobSpec {
+            profile,
+            partition,
+            adaptive,
+        }
+    }
+
+    fn rounds(jobs: &mut [JobSpec], max_rounds: usize) -> usize {
+        let env = MultiJobEnv::default();
+        best_response_rounds(
+            &testbed(),
+            jobs,
+            &env,
+            max_rounds,
+            &HillClimbPlanner::default(),
+        )
+        .expect("best response")
+    }
+
+    #[test]
+    fn all_autopipe_tenancy_beats_all_static() {
+        let topo = testbed();
+        let env = MultiJobEnv::default();
+        let static_jobs = vec![static_job(false), static_job(false), static_job(false)];
+        let before = evaluate(&topo, &static_jobs, &env).expect("static tenancy");
+
+        let mut adaptive_jobs = vec![static_job(true), static_job(true), static_job(true)];
+        let changes = rounds(&mut adaptive_jobs, 4);
+        let after = evaluate(&topo, &adaptive_jobs, &env).expect("adaptive tenancy");
+        assert!(
+            after.total >= before.total,
+            "coordinated tenancy must not lose: {:.1} -> {:.1} ({} changes)",
+            before.total,
+            after.total,
+            changes
+        );
+    }
+
+    #[test]
+    fn best_response_terminates_at_a_fixed_point() {
+        let mut jobs = vec![static_job(true), static_job(true)];
+        let _ = rounds(&mut jobs, 6);
+        // Re-running from the fixed point changes nothing.
+        assert_eq!(rounds(&mut jobs, 3), 0);
+    }
 }

@@ -39,8 +39,8 @@
 //!   speed-vs-iteration curves (with an optional merged chrome trace);
 //! * [`enhanced`] — AutoPipe-enhanced DAPPLE / Chimera / PipeDream-2BW
 //!   (Figure 13), built on the same Enumerate/Score stages;
-//! * [`multi_job`] — best-response dynamics over several jobs sharing the
-//!   cluster, likewise built on the stage interfaces.
+//! * [`HillClimbPlanner`] — the controller's per-job proposal that
+//!   [`ap_sched::tenancy`] drives for several jobs sharing the cluster.
 
 pub mod arbiter;
 pub mod controller;
@@ -48,20 +48,16 @@ pub mod enhanced;
 pub mod json;
 pub mod meta_net;
 pub mod metrics;
-pub mod multi_job;
 pub mod profiler;
 pub mod switch_cost;
 
 pub use arbiter::{Arbiter, ArbiterInput, ArbiterMode};
 pub use controller::{
     AutoPipeConfig, AutoPipeController, Decision, DecisionEvent, DecisionJournal, DecisionRecord,
-    KeepReason, ScenarioResult, Scorer, SwitchMode,
+    HillClimbPlanner, KeepReason, ScenarioResult, Scorer, SwitchMode,
 };
 pub use enhanced::enhanced_throughput;
 pub use meta_net::{MetaNet, MetaNetConfig, TrainingSample};
 pub use metrics::{FeatureEncoder, ProfilingMetrics, DYNAMIC_DIM, STATIC_DIM};
-pub use multi_job::{
-    best_response_rounds, HillClimbPlanner, JobSpec, MultiJobEnv, MultiJobOutcome,
-};
 pub use profiler::{profile_from_metrics, Profiler};
 pub use switch_cost::SwitchCostModel;

@@ -24,8 +24,8 @@
 //! thread interleavings (the repo's determinism convention):
 //! - one worker per stage, so each stage's update order is its own
 //!   program order;
-//! - static 1F1B op schedules (each stage blocks on the exact frame its
-//!   next op needs, instead of racing on arrival order);
+//! - static op-programs from `ap_ir::generate` (each stage blocks on the
+//!   exact frame its next op needs, instead of racing on arrival order);
 //! - stateless SGD (no optimizer state to migrate or reorder).
 
 pub mod calib;
@@ -33,7 +33,6 @@ pub mod channel;
 pub mod codec;
 pub mod profiler;
 pub mod runtime;
-pub mod schedule;
 
 pub use ap_ir::ScheduleKind;
 pub use calib::fit_calibration;
@@ -45,4 +44,3 @@ pub use profiler::{calibrate_layer_times, metrics_from_times, LayerTimes};
 pub use runtime::{
     run_pipeline, training_batch, ExecError, ExecResult, ExecSpec, MigrationReport, SwitchSpec,
 };
-pub use schedule::{stage_ops, Op};

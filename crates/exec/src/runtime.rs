@@ -11,9 +11,9 @@
 //! `Recv`/`Send` become frames on the byte channels, `StashPush` becomes
 //! a master clone, `Forward`/`Backward`/`FusedFwdLossBwd`/`Recompute`
 //! become real matrix math, `ApplyUpdate` becomes SGD on the master
-//! weights. The pipesim pricer walks the *same* program charging time
-//! (DESIGN.md §10), so simulation and execution cannot drift apart on
-//! what a schedule does.
+//! weights. ap-mem walks the *same* program for its modeled peak bytes
+//! (DESIGN.md §10), so the memory model and execution cannot drift apart
+//! on what a schedule does.
 //!
 //! ## Threading model
 //!
@@ -1289,8 +1289,8 @@ pub fn run_pipeline(spec: &ExecSpec) -> Result<ExecResult, ExecError> {
     let starts = spec.starts();
     let full = Mlp::new(&spec.sizes, spec.act, spec.seed);
 
-    // The one program both engines agree on: replayed here, priced by
-    // pipesim's ProgramPricer.
+    // The schedule's one op-program: replayed here, and walked by ap-mem
+    // for the modeled peak bytes.
     let program = match &plan {
         Some(p) => generate_spliced(
             spec.schedule,

@@ -1,11 +1,14 @@
-//! The IR generator must reproduce the runtime's legacy 1F1B schedule,
+//! The IR generator must reproduce the runtime's golden 1F1B orders,
 //! and the runtime must train correctly under every schedule in the zoo.
 
 use ap_exec::runtime::{run_pipeline, ExecResult, ExecSpec};
-use ap_exec::schedule::{stage_ops, Op};
 use ap_exec::ScheduleKind;
 use ap_ir::{generate, IrOp};
 use ap_nn::ActKind;
+
+/// Golden async 1F1B compute orders, one line per
+/// `n_stages in_flight total stage: ops` (see the file header).
+const GOLDEN_1F1B: &str = include_str!("data/1f1b_golden.txt");
 
 /// Bit pattern of a stage's weights, for exact comparisons.
 fn weight_bits(w: &ap_nn::mlp::MlpWeights) -> Vec<u64> {
@@ -15,36 +18,46 @@ fn weight_bits(w: &ap_nn::mlp::MlpWeights) -> Vec<u64> {
         .collect()
 }
 
-/// Project a stage's IR program down to the legacy compute-op alphabet:
-/// `Forward`/`FusedFwdLossBwd` → `Op::Forward`, `Backward` → `Op::Backward`,
-/// everything else (transport, stash bookkeeping, applies) dropped.
-fn fold(ops: &[IrOp]) -> Vec<Op> {
+/// Project a stage's IR program down to the golden compute-op alphabet:
+/// `Forward`/`FusedFwdLossBwd` → `F<mb>`, `Backward` → `B<mb>`, everything
+/// else (transport, stash bookkeeping, applies) dropped.
+fn fold(ops: &[IrOp]) -> Vec<String> {
     ops.iter()
         .filter_map(|op| match op {
-            IrOp::Forward { unit } | IrOp::FusedFwdLossBwd { unit } => Some(Op::Forward(unit.mb)),
-            IrOp::Backward { unit } => Some(Op::Backward(unit.mb)),
+            IrOp::Forward { unit } | IrOp::FusedFwdLossBwd { unit } => {
+                Some(format!("F{}", unit.mb))
+            }
+            IrOp::Backward { unit } => Some(format!("B{}", unit.mb)),
             _ => None,
         })
         .collect()
 }
 
 #[test]
-fn pipedream_ir_reproduces_the_legacy_stage_ops_exactly() {
-    for n_stages in 1..=5usize {
-        for in_flight in 1..=5usize {
-            for total in [1u64, 2, 5, 9, 16] {
-                let program = generate(ScheduleKind::PipeDreamAsync, n_stages, total, in_flight);
-                for s in 0..n_stages {
-                    let legacy = stage_ops(s, n_stages, total, in_flight);
-                    let from_ir = fold(&program.stages[s].ops);
-                    assert_eq!(
-                        from_ir, legacy,
-                        "stage {s}/{n_stages}, total {total}, in_flight {in_flight}"
-                    );
-                }
-            }
-        }
+fn pipedream_ir_reproduces_the_golden_1f1b_orders_exactly() {
+    let mut checked = 0;
+    for line in GOLDEN_1F1B.lines().filter(|l| !l.starts_with('#')) {
+        let (shape, ops) = line.split_once(':').expect("`shape: ops` line");
+        let shape: Vec<u64> = shape
+            .split_whitespace()
+            .map(|v| v.parse().expect("numeric shape"))
+            .collect();
+        let [n_stages, in_flight, total, stage] = shape[..] else {
+            panic!("bad shape in golden line {line:?}");
+        };
+        let (n_stages, in_flight, stage) = (n_stages as usize, in_flight as usize, stage as usize);
+        let program = generate(ScheduleKind::PipeDreamAsync, n_stages, total, in_flight);
+        let golden: Vec<&str> = ops.split_whitespace().collect();
+        assert_eq!(
+            fold(&program.stages[stage].ops),
+            golden,
+            "stage {stage}/{n_stages}, total {total}, in_flight {in_flight}"
+        );
+        checked += 1;
     }
+    // 5 stage counts × (5 in-flight depths × 6 totals + 2 deep-admission
+    // rows), one line per stage.
+    assert_eq!(checked, 15 * (5 * 6 + 2), "golden file lost rows");
 }
 
 fn zoo_spec(kind: ScheduleKind) -> ExecSpec {

@@ -1,13 +1,12 @@
 //! # ap-ir — the schedule intermediate representation
 //!
-//! One declarative encoding of "what a pipeline schedule is", consumed by
-//! two engines (DESIGN.md §10):
+//! One declarative encoding of "what a pipeline schedule is" (DESIGN.md
+//! §10):
 //!
-//! * `ap-pipesim` *prices* a [`Program`] with a deterministic
-//!   discrete-event pricer (its closed-form analytic model stays as a
-//!   cross-check);
-//! * `ap-exec` *replays* the same program on real OS-thread stages,
-//!   byte-deterministically.
+//! * `ap-exec` *replays* a [`Program`] on real OS-thread stages,
+//!   byte-deterministically;
+//! * `ap-mem` *walks* the same program for each stage's modeled peak
+//!   resident bytes.
 //!
 //! A [`Program`] holds one [`StageProgram`] per pipeline stage: a typed
 //! sequence of [`IrOp`]s (`Recv / Send / StashPush / Forward /

@@ -1,9 +1,9 @@
 //! The declarative per-stage op-program.
 //!
 //! A [`Program`] is the single source of truth for *what happens, in what
-//! order, at every stage* under a [`ScheduleKind`]. Both engines consume
-//! it: the pipesim pricer walks the ops charging time, and the ap-exec
-//! runtime replays them against real tensors. Because each stage's op
+//! order, at every stage* under a [`ScheduleKind`]. The ap-exec runtime
+//! replays the ops against real tensors, and ap-mem walks them for peak
+//! memory. Because each stage's op
 //! order is static and channels are FIFO, any interpreter that executes
 //! ops in program order is deterministic regardless of thread timing.
 //!
@@ -164,7 +164,7 @@ pub struct Program {
     pub stages: Vec<StageProgram>,
 }
 
-/// Coarse 1F1B schedule entries (the pre-IR `stage_ops` vocabulary).
+/// Coarse 1F1B schedule entries: a forward or backward of one mini-batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Coarse {
     F(u64),
@@ -173,9 +173,9 @@ enum Coarse {
 
 /// The classic async 1F1B coarse order: warmup forwards
 /// (`in_flight - stage`, floored at one), strict B/F alternation, drain
-/// backwards; the last stage is all (fused) forwards. Identical to
-/// `ap_exec::schedule::stage_ops` — a regression test in ap-exec pins
-/// this equality.
+/// backwards; the last stage is all (fused) forwards. This is the only
+/// 1F1B generator in the workspace; ap-exec's `ir_regression` test pins
+/// its output to a golden file over a grid of shapes.
 fn coarse_1f1b(stage: usize, n_stages: usize, total: u64, in_flight: usize) -> Vec<Coarse> {
     assert!(n_stages > 0 && stage < n_stages, "bad stage index");
     assert!(in_flight >= 1, "need at least one in-flight mini-batch");
@@ -343,7 +343,7 @@ fn expand_async(
 /// Chimera emits the same program as DAPPLE: its bidirectional trick
 /// needs a second model replica per stage, which a single linear pipeline
 /// host cannot run — the halved bubble stays an analytic-model property
-/// (as in the pre-IR event engine), priced against the same op-program.
+/// (the event engine, like this program, runs the DAPPLE order).
 fn expand_sync(kind: ScheduleKind, stage: usize, n_stages: usize, total: u64) -> Vec<IrOp> {
     let m = kind.micro_batches();
     let last = stage + 1 == n_stages;

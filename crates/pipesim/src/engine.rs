@@ -2198,4 +2198,77 @@ mod tests {
             "per_iter {per_iter} < floor {floor}"
         );
     }
+
+    /// The schedule-zoo bench: a 3-stage uniform pipeline (6 layers,
+    /// batch 32, 10 Gbps) run for 48 mini-batches under `kind`.
+    fn run_zoo(kind: ScheduleKind, calibration: Option<Calibration>) -> SimResult {
+        let model = synthetic_uniform(6, 2e9, 4e5, 8e5);
+        let profile = ModelProfile::with_batch(&model, 32);
+        let partition = Partition {
+            stages: vec![
+                Stage::new(0..2, vec![GpuId(0)]),
+                Stage::new(2..4, vec![GpuId(1)]),
+                Stage::new(4..6, vec![GpuId(2)]),
+            ],
+            in_flight: 3,
+        };
+        let state = ClusterState::new(ClusterTopology::single_switch(3, 1, GpuKind::P100, 10.0));
+        let cfg = EngineConfig {
+            schedule: kind,
+            calibration,
+            ..EngineConfig::default()
+        };
+        Engine::new(&profile, partition, state, ResourceTimeline::empty(), cfg)
+            .expect("valid")
+            .run(48)
+            .expect("run")
+    }
+
+    fn zoo_throughput(kind: ScheduleKind) -> f64 {
+        run_zoo(kind, None).steady_throughput(16)
+    }
+
+    #[test]
+    fn every_zoo_kind_completes_every_mini_batch_in_order() {
+        for kind in ScheduleKind::zoo() {
+            let r = run_zoo(kind, None);
+            assert_eq!(r.iterations.len(), 48, "{}", kind.label());
+            assert!(
+                r.iterations.windows(2).all(|w| w[0].finish <= w[1].finish),
+                "{} finish times must be monotone",
+                kind.label()
+            );
+        }
+    }
+
+    #[test]
+    fn async_beats_dapple_beats_gpipe() {
+        let pd = zoo_throughput(ScheduleKind::PipeDreamAsync);
+        let dapple = zoo_throughput(ScheduleKind::Dapple { micro_batches: 4 });
+        let gpipe = zoo_throughput(ScheduleKind::GPipe { micro_batches: 4 });
+        assert!(pd > dapple, "PipeDream {pd} <= DAPPLE {dapple}");
+        // GPipe pays the recompute tax on top of the same bubble.
+        assert!(dapple > gpipe, "DAPPLE {dapple} <= GPipe {gpipe}");
+    }
+
+    #[test]
+    fn more_micro_batches_shrink_the_gpipe_bubble() {
+        let m2 = zoo_throughput(ScheduleKind::GPipe { micro_batches: 2 });
+        let m8 = zoo_throughput(ScheduleKind::GPipe { micro_batches: 8 });
+        assert!(m8 > m2, "m=8 {m8} <= m=2 {m2}");
+    }
+
+    #[test]
+    fn calibration_slows_the_async_pipeline_down() {
+        let raw = zoo_throughput(ScheduleKind::PipeDreamAsync);
+        let cal = Calibration {
+            per_frame_s: 2e-6,
+            per_byte_s: 1e-9,
+            stage_overhead_s: 2e-5,
+            stash_byte_s: 5e-10,
+            compute_slots: 2,
+        };
+        let calibrated = run_zoo(ScheduleKind::PipeDreamAsync, Some(cal)).steady_throughput(16);
+        assert!(calibrated < raw, "calibrated {calibrated} >= raw {raw}");
+    }
 }

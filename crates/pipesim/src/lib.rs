@@ -16,11 +16,11 @@
 //!   PyTorch panels of Figure 8);
 //! * [`analytic`] — a fast closed-form steady-state throughput model used
 //!   inside planners;
-//! * [`program`] — a deterministic pricer for declarative [`ap_ir`]
-//!   op-programs, covering the whole schedule zoo with one cost walk;
-//! * [`engine`] — a discrete-event simulation with fluid fair-share
-//!   networking, 1F1B scheduling, weight versions/staleness, per-iteration
-//!   speed traces and worker timelines (Figure 2);
+//! * [`engine`] — the one event-driven pricer: a discrete-event
+//!   simulation with fluid fair-share networking, every schedule kind's
+//!   dispatch (async 1F1B and the flush schedules), weight
+//!   versions/staleness, per-iteration speed traces and worker timelines
+//!   (Figure 2);
 //! * [`switching`] — what a re-partition costs: stop-and-restart vs
 //!   AutoPipe's layer-by-layer fine-grained switching (§4.4);
 //! * [`convergence`] — a staleness-aware statistical model of top-1
@@ -33,7 +33,6 @@ pub mod engine;
 pub mod framework;
 pub mod json;
 pub mod partition;
-pub mod program;
 pub mod schedule;
 pub mod switching;
 pub mod sync;
@@ -48,7 +47,6 @@ pub use engine::{
 };
 pub use framework::Framework;
 pub use partition::{Partition, PartitionError, Stage};
-pub use program::{ProgramEval, ProgramPricer};
 pub use schedule::ScheduleKind;
 pub use switching::{
     abort_recovery_cost, abort_rollback_cost, fine_grained_cost, stop_restart_cost, MigrationStep,

@@ -20,9 +20,9 @@
 //!   throughput blended with a fairness floor — evaluated from the
 //!   analytic model only, never the event engine.
 //!
-//! The crate also owns the multi-tenancy primitives that used to live in
-//! `autopipe::multi_job` ([`tenancy`]); ap-core re-exports them and
-//! plugs its hill-climb refiner in through the [`ProposePlan`] trait.
+//! The crate also owns the multi-tenancy primitives ([`tenancy`]);
+//! ap-core plugs its hill-climb refiner (`autopipe::HillClimbPlanner`) in
+//! through the [`ProposePlan`] trait.
 
 pub mod admission;
 pub mod index;

@@ -12,9 +12,9 @@
 //!
 //! The per-job re-partition proposal is abstracted behind [`ProposePlan`]
 //! so this crate does not depend on the controller: `autopipe` implements
-//! the trait with its Enumerate + Score hill climb and re-exports this
-//! module as `autopipe::multi_job`, while [`crate::ClusterScheduler`]
-//! drives the same trait from the event loop.
+//! the trait with its Enumerate + Score hill climb
+//! (`autopipe::HillClimbPlanner`), which both [`best_response_rounds`] and
+//! [`crate::ClusterScheduler`]'s event loop drive.
 
 use ap_cluster::dynamics::BgJobId;
 use ap_cluster::{ClusterState, ClusterTopology, EventKind, ResourceTimeline};

@@ -16,7 +16,8 @@ use ap_cluster::gpu::GpuKind;
 use ap_cluster::{gbps, ClusterTopology, GpuId};
 use ap_models::{bert_n, resnet50, vgg16, ModelProfile};
 use ap_planner::{pipedream_plan, PipeDreamView};
-use autopipe::multi_job::{best_response_rounds, evaluate, JobSpec, MultiJobEnv};
+use ap_sched::tenancy::{best_response_rounds, evaluate, JobSpec, MultiJobEnv};
+use autopipe::HillClimbPlanner;
 
 fn job(model: ap_models::ModelDesc, gpus: Vec<GpuId>, adaptive: bool) -> JobSpec {
     let profile = ModelProfile::of(&model);
@@ -56,7 +57,8 @@ fn main() {
     }
     println!("  total     {:8.1} samples/s", before.total);
 
-    let changes = best_response_rounds(&topo, &mut jobs, &env, 4).expect("best response");
+    let changes = best_response_rounds(&topo, &mut jobs, &env, 4, &HillClimbPlanner::default())
+        .expect("best response");
     let after = evaluate(&topo, &jobs, &env).expect("adaptive tenancy");
     println!("\nAutoPipe tenancy after {changes} coordinated plan changes:");
     for ((n, tp), j) in names.iter().zip(&after.per_job).zip(&jobs) {

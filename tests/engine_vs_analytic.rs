@@ -5,16 +5,21 @@
 use ap_cluster::gpu::GpuKind;
 use ap_cluster::{ClusterState, ClusterTopology, GpuId, ResourceTimeline};
 use ap_models::{resnet50, synthetic_uniform, vgg16, ModelProfile};
-use ap_pipesim::{AnalyticModel, Engine, EngineConfig, Partition, Stage};
+use ap_pipesim::{AnalyticModel, Engine, EngineConfig, Partition, ScheduleKind, Stage};
 
-fn agreement(profile: &ModelProfile, partition: &Partition, link_gbps: f64) -> (f64, f64) {
+fn agreement(
+    profile: &ModelProfile,
+    partition: &Partition,
+    link_gbps: f64,
+    schedule: ScheduleKind,
+) -> (f64, f64) {
     let topo = ClusterTopology::paper_testbed(link_gbps);
     let state = ClusterState::new(topo);
     let model = AnalyticModel {
         profile,
         scheme: ap_pipesim::SyncScheme::RingAllReduce,
         framework: ap_pipesim::Framework::pytorch(),
-        schedule: ap_pipesim::ScheduleKind::PipeDreamAsync,
+        schedule,
         calibration: None,
     };
     let analytic = model.throughput(partition, &state);
@@ -23,7 +28,10 @@ fn agreement(profile: &ModelProfile, partition: &Partition, link_gbps: f64) -> (
         partition.clone(),
         state,
         ResourceTimeline::empty(),
-        EngineConfig::default(),
+        EngineConfig {
+            schedule,
+            ..EngineConfig::default()
+        },
     )
     .expect("valid partition")
     .run(3 * partition.in_flight.max(20))
@@ -42,9 +50,21 @@ fn uniform_pipeline_agreement_within_ten_percent() {
             .collect(),
         in_flight: 8,
     };
-    let (a, e) = agreement(&profile, &partition, 100.0);
-    let rel = (a - e).abs() / e;
-    assert!(rel < 0.10, "analytic {a:.1} vs engine {e:.1} ({rel:.2})");
+    // Chimera is left out: the analytic model halves its bubble (the
+    // bidirectional arrangement), while the engine runs the DAPPLE order,
+    // so the two disagree by design (~+30% here).
+    for kind in ScheduleKind::zoo()
+        .into_iter()
+        .filter(|k| !matches!(k, ScheduleKind::Chimera { .. }))
+    {
+        let (a, e) = agreement(&profile, &partition, 100.0, kind);
+        let rel = (a - e).abs() / e;
+        assert!(
+            rel < 0.10,
+            "{}: analytic {a:.1} vs engine {e:.1} ({rel:.2})",
+            kind.id()
+        );
+    }
 }
 
 #[test]
@@ -60,7 +80,7 @@ fn real_model_agreement_within_twenty_percent() {
                 gpu_flops: GpuKind::P100.peak_flops(),
             },
         );
-        let (a, e) = agreement(&profile, &partition, 25.0);
+        let (a, e) = agreement(&profile, &partition, 25.0, ScheduleKind::PipeDreamAsync);
         let rel = (a - e).abs() / e;
         assert!(
             rel < 0.20,
@@ -89,8 +109,8 @@ fn both_models_agree_on_partition_ranking() {
         ],
         in_flight: 18,
     };
-    let (a_good, e_good) = agreement(&profile, &good, 25.0);
-    let (a_bad, e_bad) = agreement(&profile, &bad, 25.0);
+    let (a_good, e_good) = agreement(&profile, &good, 25.0, ScheduleKind::PipeDreamAsync);
+    let (a_bad, e_bad) = agreement(&profile, &bad, 25.0, ScheduleKind::PipeDreamAsync);
     assert!(
         a_good > 1.5 * a_bad,
         "analytic must separate: {a_good} vs {a_bad}"

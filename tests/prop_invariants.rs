@@ -98,13 +98,26 @@ fn switch_plans_are_symmetric() {
 
 /// The engine completes exactly the requested iterations (or slightly
 /// more on simultaneous completion), in non-decreasing time order, and
-/// busy time never exceeds the makespan.
+/// busy time never exceeds the makespan. Runs 48 seeded random shapes plus
+/// one pinned shape: a shrunk failure from an earlier randomized search (a
+/// replicated middle stage under a deep in-flight window).
 #[test]
 fn engine_conservation() {
-    for case in 0..48u64 {
+    let random = (0..48u64).map(|case| {
         let mut rng = Rng::seed_from_u64(0xE46E + case);
         let p = random_partition(&mut rng, 8, 4);
         let iters = rng.gen_range(5..25usize);
+        (format!("case {case}"), p, iters)
+    });
+    let pinned = Partition {
+        stages: vec![
+            Stage::new(0..2, vec![GpuId(0)]),
+            Stage::new(2..6, vec![GpuId(1), GpuId(2)]),
+            Stage::new(6..8, vec![GpuId(3)]),
+        ],
+        in_flight: 7,
+    };
+    for (case, p, iters) in random.chain([("pinned case".to_string(), pinned, 24)]) {
         let model = synthetic_uniform(8, 1e9, 2e6, 4e6);
         let profile = ModelProfile::with_batch(&model, 16);
         let topo = ClusterTopology::single_switch(4, 1, GpuKind::P100, 25.0);
@@ -118,9 +131,9 @@ fn engine_conservation() {
         .expect("valid partition")
         .run(iters)
         .expect("engine run");
-        assert!(r.iterations.len() >= iters, "case {case}");
+        assert!(r.iterations.len() >= iters, "{case}");
         for w in r.iterations.windows(2) {
-            assert!(w[1].finish >= w[0].finish - 1e-9, "case {case}");
+            assert!(w[1].finish >= w[0].finish - 1e-9, "{case}");
         }
         // Iteration ids are unique; replicas complete out of order, so the
         // final wave may contain an id ahead of a still-in-flight one, but
@@ -129,15 +142,11 @@ fn engine_conservation() {
         ids.sort_unstable();
         let unique_before = ids.len();
         ids.dedup();
-        assert_eq!(
-            ids.len(),
-            unique_before,
-            "case {case}: duplicate iteration ids"
-        );
+        assert_eq!(ids.len(), unique_before, "{case}: duplicate iteration ids");
         let max_injected = (r.iterations.len() + 64) as u64;
-        assert!(ids.iter().all(|&id| id < max_injected), "case {case}");
+        assert!(ids.iter().all(|&id| id < max_injected), "{case}");
         for &b in &r.busy {
-            assert!(b <= r.makespan + 1e-6, "case {case}");
+            assert!(b <= r.makespan + 1e-6, "{case}");
         }
     }
 }

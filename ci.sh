@@ -22,6 +22,16 @@ echo "== test =="
 # blocks a merge.
 cargo test -q --offline --workspace
 
+echo "== benchmark build =="
+# perfbench (BENCHMARK.json's command) builds the workspace crates from
+# source as path dependencies, outside the workspace. Its unit tests
+# include probe_fit_matches_refine_plan, which checks that its mirror of
+# refine_plan's memory fit still reaches the program's decision, and
+# --self-test checks seeded inputs and bit-identical quality. An API
+# change that breaks either fails here, not in the next benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "== chaos drill =="
 # Fault-injection smoke: exits 2 on a wedged (deadlocked) run and 3 if
 # AutoPipe fails to keep completing work through a scored outage.

@@ -43,7 +43,8 @@ fn main() {
                 // The production path: one LSTM pass, FC head per candidate.
                 let h = net.encode_history(&dyn_seq);
                 let mut best = f64::NEG_INFINITY;
-                for (_, cand) in two_worker_moves(&plan, profile.n_layers()) {
+                for mv in two_worker_moves(&plan, profile.n_layers()) {
+                    let cand = mv.apply(&plan);
                     let m = static_metrics_from_profile(&profile, cand.n_workers());
                     let stat = encoder.encode_static(&m, &cand);
                     best = best.max(net.predict_from_encoding(&h, &stat));

@@ -59,10 +59,8 @@ fn main() {
         let profile = ModelProfile::of(&model);
         let net = MetaNet::new(MetaNetConfig::default());
         let plan = pipedream_plan(&profile, &gpus, view);
-        let candidates: Vec<Partition> = two_worker_moves(&plan, profile.n_layers())
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect();
+        let moves = two_worker_moves(&plan, profile.n_layers());
+        let candidates: Vec<Partition> = moves.iter().map(|mv| mv.apply(&plan)).collect();
         let dyn_seq: Vec<Vec<f64>> = (0..net.config().seq_len)
             .map(|i| vec![0.1 + 0.05 * i as f64; DYNAMIC_DIM])
             .collect();
@@ -104,8 +102,9 @@ fn main() {
         hoisted.report();
 
         // Production path: the controller's Score stage (hoisted encoding
-        // + ap_par fan-out inside `Scorer::best`). The candidate clone is
-        // part of the measured cost, exactly as in a live decision round.
+        // + ap_par fan-out inside `Scorer::best`). Building the candidates
+        // from their moves is part of the measured cost, exactly as in a
+        // live decision round.
         let history: VecDeque<Vec<f64>> = dyn_seq.iter().cloned().collect();
         let state = ClusterState::new(ClusterTopology::paper_testbed(25.0));
         let ctx = ScoreCtx {
@@ -119,7 +118,7 @@ fn main() {
         };
         let scorer = Scorer::MetaNet(Box::new(MetaNet::new(MetaNetConfig::default())));
         let parallel = timing::bench(&format!("hoisted_parallel/{}", model.name), RUNS, || {
-            let best = scorer.best(&ctx, candidates.clone());
+            let best = scorer.best(&ctx, &plan, &moves);
             black_box(best);
         });
         parallel.report();

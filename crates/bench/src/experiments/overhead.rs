@@ -50,16 +50,19 @@ pub fn measure(profile: &ModelProfile, net: &MetaNet, arbiter: &Arbiter) -> Over
         .map(|_| vec![0.5; DYNAMIC_DIM])
         .collect();
     let t1 = Instant::now();
-    let candidates = two_worker_moves(&plan, profile.n_layers());
+    let candidates: Vec<_> = two_worker_moves(&plan, profile.n_layers())
+        .iter()
+        .map(|mv| mv.apply(&plan))
+        .collect();
     let h = net.encode_history(&dyn_seq);
     let mut static_by_workers: Vec<(usize, ProfilingMetrics)> = Vec::new();
-    for (_, cand) in &candidates {
+    for cand in &candidates {
         let n = cand.n_workers();
         if !static_by_workers.iter().any(|&(k, _)| k == n) {
             static_by_workers.push((n, static_metrics_from_profile(profile, n)));
         }
     }
-    let best = ap_par::map(candidates, |(_, cand)| {
+    let best = ap_par::map(candidates, |cand| {
         let m = &static_by_workers
             .iter()
             .find(|&&(k, _)| k == cand.n_workers())

@@ -1,11 +1,12 @@
 //! Default [`Enumerate`] stage: the planner's two-worker neighborhood,
 //! extended with eviction moves for degraded workers and filtered against
-//! a blacklist of candidates that measured worse after being applied.
+//! the controller's blacklist of candidates that measured worse after
+//! being applied.
 
 use ap_cluster::GpuId;
 use ap_models::ModelProfile;
 use ap_pipesim::Partition;
-use ap_planner::{all_moves, drop_moves};
+use ap_planner::{all_moves, drop_moves, MoveKind};
 
 use super::stages::Enumerate;
 
@@ -47,16 +48,23 @@ impl Enumerate for MoveEnumerator {
         base: &Partition,
         profile: &ModelProfile,
         degraded: &[GpuId],
-    ) -> Vec<Partition> {
-        let mut candidates = all_moves(base, profile);
+    ) -> Vec<MoveKind> {
+        let mut moves = all_moves(base, profile);
         if !degraded.is_empty() {
-            candidates.extend(
-                drop_moves(base)
-                    .into_iter()
-                    .filter(|(_, p)| degraded.iter().any(|g| !p.all_workers().contains(g))),
-            );
+            // Keep the drops whose candidate lacks some degraded worker.
+            let workers = base.all_workers();
+            moves.extend(drop_moves(base).into_iter().filter(|mv| {
+                let MoveKind::DropWorker { stage, index } = *mv else {
+                    return false;
+                };
+                let shed = base.stages[stage].workers[index];
+                degraded.iter().any(|g| *g == shed || !workers.contains(g))
+            }));
         }
-        candidates.retain(|(_, p)| !self.rejected.contains(p));
-        candidates.into_iter().map(|(_, p)| p).collect()
+        // Only a blacklisting controller pays for building candidates.
+        if !self.rejected.is_empty() {
+            moves.retain(|mv| !self.rejected.contains(&mv.apply(base)));
+        }
+        moves
     }
 }

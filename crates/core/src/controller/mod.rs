@@ -49,6 +49,7 @@ mod tests;
 use ap_cluster::{ClusterState, GpuId};
 use ap_models::ModelProfile;
 use ap_pipesim::{Partition, PartitionError};
+use ap_planner::MoveKind;
 
 use crate::arbiter::{ArbiterInput, ArbiterMode};
 
@@ -58,7 +59,7 @@ pub use detect::ChangeMonitor;
 pub use enumerate::MoveEnumerator;
 pub use journal::{DecisionEvent, DecisionJournal, DecisionRecord, KeepReason};
 pub use observe::ProfilerObserver;
-pub use optimize::{hill_climb, refine, HillClimbPlanner};
+pub use optimize::{hill_climb, refine, HillClimbPlanner, Refined};
 pub use pretrain::pretrain_meta_net;
 pub use retry::RetryPolicy;
 pub use scenario::{run_dynamic_scenario, run_dynamic_scenario_traced, ScenarioResult};
@@ -288,16 +289,16 @@ impl<'a> AutoPipeController<'a> {
                 if bad == 0 {
                     break;
                 }
-                let viable: Vec<Partition> = enumerator
+                let viable: Vec<MoveKind> = enumerator
                     .candidates(&best, profile, &failed)
                     .into_iter()
-                    .filter(|p| dead_count(p) < bad)
+                    .filter(|mv| dead_count(&mv.apply(&best)) < bad)
                     .collect();
-                let Some((_, p)) = scorer.best(&ctx, viable) else {
+                let Some((_, mv)) = scorer.best(&ctx, &best, &viable) else {
                     break;
                 };
-                bad = dead_count(&p);
-                best = p;
+                best = mv.apply(&best);
+                bad = dead_count(&best);
             }
             if bad > 0 {
                 // The incremental chain stalled — e.g. a dead worker is a
@@ -510,26 +511,22 @@ impl<'a> AutoPipeController<'a> {
             history: observer.history(),
             state,
         };
-        let current_speed = scorer.predict(&ctx, partition);
-        let mut best = partition.clone();
-        let mut best_speed = current_speed;
-        let mut rounds = 0usize;
-        let mut scored = 0usize;
-        for _ in 0..cfg.moves_per_decision.max(1) {
-            let candidates = enumerator.candidates(&best, profile, &degraded);
-            if candidates.is_empty() {
-                break;
-            }
-            rounds += 1;
-            scored += candidates.len();
-            match scorer.best(&ctx, candidates) {
-                Some((speed, p)) if speed > best_speed * (1.0 + 1e-9) => {
-                    best_speed = speed;
-                    best = p;
-                }
-                _ => break,
-            }
-        }
+        let Refined {
+            partition: best,
+            score: best_speed,
+            start_score: current_speed,
+            rounds,
+            scored,
+            ..
+        } = refine(
+            &*enumerator,
+            scorer,
+            &ctx,
+            partition.clone(),
+            &degraded,
+            cfg.moves_per_decision.max(1),
+            || false,
+        );
         journal.record(
             decision,
             iteration,

@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 
-use ap_cluster::ClusterState;
+use ap_cluster::{ClusterState, GpuId};
 use ap_models::ModelProfile;
 use ap_pipesim::{AnalyticModel, Partition};
 use ap_planner::sort_stage_workers_by;
@@ -15,34 +15,67 @@ use super::enumerate::MoveEnumerator;
 use super::score::Scorer;
 use super::stages::{Enumerate, Score, ScoreCtx};
 
-/// Greedy refinement: chain incremental moves from `start`, each round
-/// keeping the best-scoring candidate, until no candidate beats the
-/// incumbent (beyond float noise) or `max_rounds` is exhausted. Returns
-/// the refined partition and its score.
+/// What a greedy refinement found.
+#[derive(Debug, Clone)]
+pub struct Refined {
+    /// The refined partition.
+    pub partition: Partition,
+    /// Its score.
+    pub score: f64,
+    /// The starting partition's score.
+    pub start_score: f64,
+    /// Rounds that scored a non-empty neighborhood.
+    pub rounds: usize,
+    /// Candidates scored across those rounds.
+    pub scored: usize,
+    /// `stop` ended the loop before a round.
+    pub stopped: bool,
+}
+
+/// Greedy refinement, the one loop every planner runs: chain incremental
+/// moves from `start`, each round scoring the whole neighborhood
+/// (`degraded` as in [`Enumerate::candidates`]) and building only the
+/// best move, until no candidate beats the incumbent (beyond float
+/// noise), `max_rounds` is exhausted, or `stop` returns true before a
+/// round (a planning deadline).
 pub fn refine<E: Enumerate, S: Score>(
     enumerator: &E,
     scorer: &S,
     ctx: &ScoreCtx<'_>,
     start: Partition,
-    start_score: f64,
+    degraded: &[GpuId],
     max_rounds: usize,
-) -> (Partition, f64) {
-    let mut current = start;
-    let mut current_score = start_score;
+    stop: impl Fn() -> bool,
+) -> Refined {
+    let start_score = scorer.predict(ctx, &start);
+    let mut out = Refined {
+        partition: start,
+        score: start_score,
+        start_score,
+        rounds: 0,
+        scored: 0,
+        stopped: false,
+    };
     for _ in 0..max_rounds {
-        let candidates = enumerator.candidates(&current, ctx.profile, &[]);
-        if candidates.is_empty() {
+        if stop() {
+            out.stopped = true;
             break;
         }
-        match scorer.best(ctx, candidates) {
-            Some((score, p)) if score > current_score * (1.0 + 1e-9) => {
-                current = p;
-                current_score = score;
+        let moves = enumerator.candidates(&out.partition, ctx.profile, degraded);
+        if moves.is_empty() {
+            break;
+        }
+        out.rounds += 1;
+        out.scored += moves.len();
+        match scorer.best(ctx, &out.partition, &moves) {
+            Some((score, mv)) if score > out.score * (1.0 + 1e-9) => {
+                out.partition = mv.apply(&out.partition);
+                out.score = score;
             }
             _ => break,
         }
     }
-    (current, current_score)
+    out
 }
 
 /// Greedy hill-climbing with two-worker moves under the analytic model:
@@ -69,17 +102,16 @@ pub fn hill_climb(
         history: &history,
         state,
     };
-    let scorer = Scorer::Analytic;
-    let start_score = scorer.predict(&ctx, &current);
     refine(
         &MoveEnumerator::new(),
-        &scorer,
+        &Scorer::Analytic,
         &ctx,
         current,
-        start_score,
+        &[],
         max_rounds,
+        || false,
     )
-    .0
+    .partition
 }
 
 /// The controller's per-job proposal for multi-job tenancy

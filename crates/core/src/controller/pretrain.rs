@@ -55,7 +55,7 @@ pub fn pretrain_meta_net(
                 if moves.is_empty() {
                     break;
                 }
-                p = moves[rng.gen_range(0..moves.len())].1.clone();
+                p = moves[rng.gen_range(0..moves.len())].apply(&p);
             }
             let tp = model.throughput(&p, &st);
             if !(tp.is_finite() && tp > 0.0) {

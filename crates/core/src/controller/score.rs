@@ -2,6 +2,7 @@
 //! model.
 
 use ap_pipesim::{AnalyticModel, Partition};
+use ap_planner::MoveKind;
 
 use super::stages::{Score, ScoreCtx};
 use crate::meta_net::MetaNet;
@@ -42,49 +43,65 @@ impl Score for Scorer {
         }
     }
 
-    /// Score a whole candidate set and return the best `(speed,
-    /// partition)`.
+    /// Score every move from `base` and return the best `(speed, move)`.
     ///
-    /// This is the hot path of a decision round — O(L²) candidates — so it
-    /// is built for throughput:
+    /// This is the hot path of a decision round — O(L²) candidates:
     ///
+    /// * **Analytic** prices `base` into a stage table once, then each
+    ///   move against it ([`MoveKind::throughput`]): a boundary shift or a
+    ///   replica migration re-prices two stages and the cuts beside them;
+    ///   only merges, splits and drops build their candidate. A round
+    ///   costs tens of microseconds, less than handing work to another
+    ///   thread, so it runs serially on the calling thread.
     /// * **MetaNet**: the dynamic history is identical for every
     ///   candidate, so the LSTM runs *once* ([`MetaNet::encode_history`])
     ///   and each candidate pays only the fully-connected head. Static
     ///   Table-1 metrics depend only on the worker count, so they are
-    ///   computed once per distinct count instead of once per candidate.
-    /// * Both scorer arms fan the per-candidate work across `ap_par`'s
-    ///   order-preserving parallel map; the final `max_by` runs serially
-    ///   over results in input order, so the selected candidate is
-    ///   identical to a fully serial scan (ties included).
-    fn best(&self, ctx: &ScoreCtx<'_>, candidates: Vec<Partition>) -> Option<(f64, Partition)> {
-        let scored = match self {
+    ///   computed once per distinct count. The heads fan out over
+    ///   `ap_par`'s order-preserving parallel map.
+    ///
+    /// Both arms end in a `max_by(total_cmp)` over scores in input order,
+    /// so the selected move is the last of the highest scores, exactly as
+    /// a serial scan over built candidates picks it.
+    fn best(
+        &self,
+        ctx: &ScoreCtx<'_>,
+        base: &Partition,
+        moves: &[MoveKind],
+    ) -> Option<(f64, MoveKind)> {
+        match self {
             Scorer::Analytic => {
                 let model = analytic(ctx);
-                let state = ctx.state;
-                ap_par::map(candidates, |p| (model.throughput(&p, state), p))
+                let table = model.table(base, ctx.state);
+                moves
+                    .iter()
+                    .map(|&mv| (mv.throughput(&model, &table, base, ctx.state), mv))
+                    .max_by(|a, b| a.0.total_cmp(&b.0))
             }
             Scorer::MetaNet(net) => {
                 let seq: Vec<Vec<f64>> = ctx.history.iter().cloned().collect();
                 let h = net.encode_history(&seq);
+                let candidates: Vec<(MoveKind, Partition)> =
+                    moves.iter().map(|mv| (*mv, mv.apply(base))).collect();
                 let mut static_by_workers: Vec<(usize, ProfilingMetrics)> = Vec::new();
-                for p in &candidates {
+                for (_, p) in &candidates {
                     let n = p.n_workers();
                     if !static_by_workers.iter().any(|&(k, _)| k == n) {
                         static_by_workers.push((n, static_metrics_from_profile(ctx.profile, n)));
                     }
                 }
-                ap_par::map(candidates, |p| {
+                ap_par::map(candidates, |(mv, p)| {
                     let m = &static_by_workers
                         .iter()
                         .find(|&&(k, _)| k == p.n_workers())
                         .expect("metrics precomputed for every worker count")
                         .1;
                     let stat = FeatureEncoder.encode_static(m, &p);
-                    (net.predict_throughput_from_encoding(&h, &stat), p)
+                    (net.predict_throughput_from_encoding(&h, &stat), mv)
                 })
+                .into_iter()
+                .max_by(|a, b| a.0.total_cmp(&b.0))
             }
-        };
-        scored.into_iter().max_by(|a, b| a.0.total_cmp(&b.0))
+        }
     }
 }

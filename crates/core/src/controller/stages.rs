@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 use ap_cluster::{ClusterState, GpuId, ResourceChange};
 use ap_models::ModelProfile;
 use ap_pipesim::{Calibration, Framework, Partition, ScheduleKind, SwitchPlan, SyncScheme};
+use ap_planner::MoveKind;
 
 use crate::arbiter::ArbiterInput;
 use crate::metrics::ProfilingMetrics;
@@ -73,18 +74,19 @@ pub trait Detect {
     fn reset(&mut self);
 }
 
-/// Proposes candidate partitions around a base configuration (§4.2's
+/// Proposes candidate moves around a base configuration (§4.2's
 /// two-worker neighborhood).
 pub trait Enumerate {
-    /// Candidates reachable from `base` in one incremental move.
-    /// `degraded` lists workers eligible for eviction; implementations may
-    /// extend the neighborhood with drop moves that shed them.
+    /// Moves that reach a candidate from `base` in one step, in a fixed
+    /// order. `degraded` lists workers eligible for eviction;
+    /// implementations may extend the neighborhood with drop moves that
+    /// shed them.
     fn candidates(
         &self,
         base: &Partition,
         profile: &ModelProfile,
         degraded: &[GpuId],
-    ) -> Vec<Partition>;
+    ) -> Vec<MoveKind>;
 }
 
 /// Predicts candidate throughput (§4.3's meta-network, or the analytic
@@ -93,12 +95,18 @@ pub trait Score {
     /// Predicted throughput (samples/sec) of one candidate.
     fn predict(&self, ctx: &ScoreCtx<'_>, candidate: &Partition) -> f64;
 
-    /// Score a whole candidate set and return the best `(speed,
-    /// partition)`. Implementations may hoist candidate-independent work
-    /// (e.g. the LSTM history encoding) out of the per-candidate loop, but
-    /// must select exactly the candidate a serial [`Score::predict`] scan
-    /// in input order would (ties included).
-    fn best(&self, ctx: &ScoreCtx<'_>, candidates: Vec<Partition>) -> Option<(f64, Partition)>;
+    /// Score every move from `base` and return the best `(speed, move)`.
+    /// Implementations may hoist candidate-independent work out of the
+    /// per-move loop and need not build every candidate, but must select
+    /// exactly the move a serial `max_by(total_cmp)` over
+    /// [`Score::predict`] of each built candidate in input order would:
+    /// the last of the highest-scoring moves, with its score to the bit.
+    fn best(
+        &self,
+        ctx: &ScoreCtx<'_>,
+        base: &Partition,
+        moves: &[MoveKind],
+    ) -> Option<(f64, MoveKind)>;
 }
 
 /// Decides whether a priced switch is worth taking (§4.3's RL arbiter, or

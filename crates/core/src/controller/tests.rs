@@ -339,8 +339,8 @@ fn pretrained_meta_net_correlates_with_analytic_truth() {
     );
 }
 
-/// The hoisted-LSTM parallel scorer must select exactly the same best
-/// candidate — bit-identical score, equal partition — as a serial scan
+/// Both scorer arms must select exactly the same best move — bit-identical
+/// score, equal move — as a serial scan
 /// through the unhoisted per-candidate path, across seeded scenarios
 /// and both scorer arms.
 #[test]
@@ -380,17 +380,16 @@ fn parallel_scoring_matches_serial_reference() {
                 state: &st,
             };
             let base = initial(&p);
-            let candidates: Vec<Partition> =
-                all_moves(&base, &p).into_iter().map(|(_, q)| q).collect();
-            assert!(candidates.len() > 4, "neighborhood too small to exercise");
+            let moves = all_moves(&base, &p);
+            assert!(moves.len() > 4, "neighborhood too small to exercise");
             // Serial reference: the per-candidate path (full LSTM pass
             // each time for MetaNet) scanned in input order.
-            let serial = candidates
+            let serial = moves
                 .iter()
-                .map(|q| (scorer.predict(&ctx, q), q.clone()))
+                .map(|mv| (scorer.predict(&ctx, &mv.apply(&base)), *mv))
                 .max_by(|a, b| a.0.total_cmp(&b.0))
                 .unwrap();
-            let fast = scorer.best(&ctx, candidates).unwrap();
+            let fast = scorer.best(&ctx, &base, &moves).unwrap();
             assert_eq!(
                 fast.0.to_bits(),
                 serial.0.to_bits(),

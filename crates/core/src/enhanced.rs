@@ -18,7 +18,7 @@ use ap_models::ModelProfile;
 use ap_pipesim::{AnalyticModel, Framework, ScheduleKind, SyncScheme};
 use ap_planner::{sort_stage_workers_by, uniform_plan};
 
-use crate::controller::{refine, MoveEnumerator, Score, ScoreCtx, Scorer};
+use crate::controller::{refine, MoveEnumerator, ScoreCtx, Scorer};
 
 /// Throughput of the vanilla (even-split, static) and AutoPipe-enhanced
 /// (environment-aware, refined) configuration of a schedule, in
@@ -55,9 +55,16 @@ pub fn enhanced_throughput(
         history: &history,
         state,
     };
-    let scorer = Scorer::Analytic;
-    let start_tp = scorer.predict(&ctx, &start);
-    let (enhanced, _) = refine(&MoveEnumerator::new(), &scorer, &ctx, start, start_tp, 30);
+    let enhanced = refine(
+        &MoveEnumerator::new(),
+        &Scorer::Analytic,
+        &ctx,
+        start,
+        &[],
+        30,
+        || false,
+    )
+    .partition;
     let enhanced_tp = model.throughput(&enhanced, state);
     (vanilla_tp, enhanced_tp)
 }

@@ -10,16 +10,14 @@
 //!
 //! where `V(t)` is the number of *distinct* weight versions live (tracked
 //! from `StashPush`/`StashPop`/`FusedFwdLossBwd` exactly like
-//! [`ap_ir::Program::validate`]) and `A(t)` prices every unit between its
+//! [`ap_ir::Program::validate`], as per-version counts of holding units) and `A(t)` prices every unit between its
 //! forward and backward: full per-unit activations normally, input-only
 //! for units whose program recomputes them (GPipe's discard). The reported
 //! footprint is the high-water mark of that sum over the stage's whole op
 //! sequence — a closed function of (model, partition, schedule,
 //! in_flight), because the op sequence itself is.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use ap_ir::{generate, IrOp, Program};
+use ap_ir::{generate, IrOp, Program, UnitId};
 use ap_models::ModelProfile;
 use ap_pipesim::{Partition, ScheduleKind};
 
@@ -109,9 +107,78 @@ impl StageFootprint {
     }
 }
 
+/// A set of dense unit ids, with its size kept current.
+struct UnitSet {
+    member: Vec<bool>,
+    len: usize,
+}
+
+impl UnitSet {
+    fn new(n: usize) -> Self {
+        UnitSet {
+            member: vec![false; n],
+            len: 0,
+        }
+    }
+
+    fn insert(&mut self, u: usize) {
+        if !self.member[u] {
+            self.member[u] = true;
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, u: usize) {
+        if self.member[u] {
+            self.member[u] = false;
+            self.len -= 1;
+        }
+    }
+}
+
+/// The weight version each unit's stash holds, and how many distinct
+/// versions are live: a per-version count of holding units.
+struct LiveVersions {
+    of: Vec<Option<usize>>,
+    holders: Vec<u32>,
+    distinct: usize,
+}
+
+impl LiveVersions {
+    fn new(n_units: usize, n_versions: usize) -> Self {
+        LiveVersions {
+            of: vec![None; n_units],
+            holders: vec![0; n_versions],
+            distinct: 0,
+        }
+    }
+
+    fn hold(&mut self, u: usize, v: usize) {
+        self.release(u);
+        self.of[u] = Some(v);
+        self.holders[v] += 1;
+        if self.holders[v] == 1 {
+            self.distinct += 1;
+        }
+    }
+
+    fn release(&mut self, u: usize) {
+        if let Some(v) = self.of[u].take() {
+            self.holders[v] -= 1;
+            if self.holders[v] == 0 {
+                self.distinct -= 1;
+            }
+        }
+    }
+}
+
 /// Walk one stage of `program`, pricing weights at `weight_bytes` per
 /// copy, a full in-flight unit at `act_full` and an input-only
 /// (recompute-pending) unit at `act_input`.
+///
+/// Units and weight versions get dense ids (offsets from the stage's
+/// smallest mini-batch and version), so the walk keeps its live sets in
+/// flat arrays sized once per stage.
 pub fn walk_stage(
     program: &Program,
     stage: usize,
@@ -121,18 +188,42 @@ pub fn walk_stage(
     model: &MemoryModel,
 ) -> StageFootprint {
     let ops = &program.stages[stage].ops;
+    let unit_of = |op: &IrOp| match *op {
+        IrOp::StashPush { unit, .. }
+        | IrOp::StashPop { unit }
+        | IrOp::Forward { unit }
+        | IrOp::FusedFwdLossBwd { unit }
+        | IrOp::Recompute { unit }
+        | IrOp::Backward { unit } => Some(unit),
+        IrOp::Recv { .. } | IrOp::Send { .. } | IrOp::ApplyUpdate { .. } => None,
+    };
+    let (mut mb_lo, mut mb_hi, mut micros) = (u64::MAX, 0u64, 0usize);
+    let (mut v_lo, mut v_hi) = (u64::MAX, 0u64);
+    for op in ops {
+        if let Some(u) = unit_of(op) {
+            mb_lo = mb_lo.min(u.mb);
+            mb_hi = mb_hi.max(u.mb);
+            micros = micros.max(u.micro as usize + 1);
+        }
+        if let IrOp::StashPush { weight_version, .. } = *op {
+            v_lo = v_lo.min(weight_version);
+            v_hi = v_hi.max(weight_version);
+        }
+    }
+    let n_units = (mb_hi + 1).saturating_sub(mb_lo) as usize * micros;
+    let n_versions = (v_hi + 1).saturating_sub(v_lo) as usize;
+    let id = |unit: UnitId| (unit.mb - mb_lo) as usize * micros + unit.micro as usize;
     // Units whose backward re-runs the forward: their activations are
     // discarded between forward and recompute.
-    let recomputed: BTreeSet<_> = ops
-        .iter()
-        .filter_map(|op| match op {
-            IrOp::Recompute { unit } => Some(*unit),
-            _ => None,
-        })
-        .collect();
-    let mut live_versions: BTreeMap<ap_ir::UnitId, u64> = BTreeMap::new();
-    let mut full: BTreeSet<ap_ir::UnitId> = BTreeSet::new();
-    let mut input_only: BTreeSet<ap_ir::UnitId> = BTreeSet::new();
+    let mut recomputed = vec![false; n_units];
+    for op in ops {
+        if let IrOp::Recompute { unit } = *op {
+            recomputed[id(unit)] = true;
+        }
+    }
+    let mut live = LiveVersions::new(n_units, n_versions);
+    let mut full = UnitSet::new(n_units);
+    let mut input_only = UnitSet::new(n_units);
     let mut peak_bytes = 0.0f64;
     let mut at_peak = (1usize, 0usize, 0.0f64); // versions, units, act bytes
     let mut sample = |versions: usize, units: usize, act: f64| {
@@ -149,39 +240,37 @@ pub fn walk_stage(
             IrOp::StashPush {
                 unit,
                 weight_version,
-            } => {
-                live_versions.insert(unit, weight_version);
-            }
-            IrOp::StashPop { unit } => {
-                live_versions.remove(&unit);
-            }
+            } => live.hold(id(unit), (weight_version - v_lo) as usize),
+            IrOp::StashPop { unit } => live.release(id(unit)),
             IrOp::Forward { unit } => {
-                if model.recompute_discard && recomputed.contains(&unit) {
-                    input_only.insert(unit);
+                let u = id(unit);
+                if model.recompute_discard && recomputed[u] {
+                    input_only.insert(u);
                 } else {
-                    full.insert(unit);
+                    full.insert(u);
                 }
             }
             IrOp::Recompute { unit } => {
-                input_only.remove(&unit);
-                full.insert(unit);
+                let u = id(unit);
+                input_only.remove(u);
+                full.insert(u);
             }
             IrOp::Backward { unit } => {
-                full.remove(&unit);
-                input_only.remove(&unit);
+                let u = id(unit);
+                full.remove(u);
+                input_only.remove(u);
             }
             IrOp::FusedFwdLossBwd { unit } => {
                 // Forward + loss + backward atomically: the unit's
                 // activations exist only for the duration of this op.
-                live_versions.remove(&unit);
+                live.release(id(unit));
                 transient = act_full;
             }
             IrOp::Recv { .. } | IrOp::Send { .. } | IrOp::ApplyUpdate { .. } => {}
         }
-        let distinct: BTreeSet<u64> = live_versions.values().copied().collect();
-        let act = full.len() as f64 * act_full + input_only.len() as f64 * act_input + transient;
-        let units = full.len() + input_only.len() + if transient > 0.0 { 1 } else { 0 };
-        sample(distinct.len(), units, act);
+        let act = full.len as f64 * act_full + input_only.len as f64 * act_input + transient;
+        let units = full.len + input_only.len + if transient > 0.0 { 1 } else { 0 };
+        sample(live.distinct, units, act);
     }
     let (versions, units, act) = at_peak;
     StageFootprint {

@@ -33,6 +33,4 @@ pub mod plan;
 
 pub use footprint::{footprint, walk_stage, MemoryModel, OptimizerKind, StageFootprint};
 pub use mlp::modeled_peak_stage_bytes;
-pub use plan::{
-    check, clamp_in_flight, fit_schedule, max_fit_in_flight, FitOutcome, MemCheck, StageMemCheck,
-};
+pub use plan::{check, clamp_in_flight, fit_schedule, FitOutcome, MemCheck, StageMemCheck};

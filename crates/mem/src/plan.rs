@@ -91,27 +91,30 @@ pub fn check(
     MemCheck { stages }
 }
 
-/// The deepest `in_flight <= partition.in_flight` that fits, if any.
-/// Footprints are monotone in depth, so the first fit walking down is
-/// maximal.
-pub fn max_fit_in_flight(
+/// The deepest `in_flight <= partition.in_flight` that fits, with the
+/// check that found it. Footprints are monotone in depth, so the first fit
+/// walking down is maximal. (Bisecting instead walks more programs: the
+/// requested depth usually fits at once.)
+fn deepest_fit(
     profile: &ModelProfile,
     partition: &Partition,
     kind: ScheduleKind,
     model: &MemoryModel,
     state: &ClusterState,
-) -> Option<usize> {
+) -> Option<(usize, MemCheck)> {
     let mut candidate = partition.clone();
     for n in (1..=partition.in_flight).rev() {
         candidate.in_flight = n;
-        if check(profile, &candidate, kind, model, state).fits() {
-            return Some(n);
+        let c = check(profile, &candidate, kind, model, state);
+        if c.fits() {
+            return Some((n, c));
         }
     }
     None
 }
 
-/// Clamp a partition's depth to what fits, in place. `false` when
+/// Clamp a partition's depth to what fits, in place, returning the
+/// clamped partition's check. `None` (and the partition untouched) when
 /// infeasible even at depth 1.
 pub fn clamp_in_flight(
     profile: &ModelProfile,
@@ -119,14 +122,10 @@ pub fn clamp_in_flight(
     kind: ScheduleKind,
     model: &MemoryModel,
     state: &ClusterState,
-) -> bool {
-    match max_fit_in_flight(profile, partition, kind, model, state) {
-        Some(n) => {
-            partition.in_flight = n;
-            true
-        }
-        None => false,
-    }
+) -> Option<MemCheck> {
+    let (n, check) = deepest_fit(profile, partition, kind, model, state)?;
+    partition.in_flight = n;
+    Some(check)
 }
 
 /// What [`fit_schedule`] decided.
@@ -156,14 +155,12 @@ pub fn fit_schedule(
     state: &ClusterState,
     score: &dyn Fn(ScheduleKind, usize) -> f64,
 ) -> Option<FitOutcome> {
-    let mut fitted = partition.clone();
-    if let Some(n) = max_fit_in_flight(profile, partition, requested, model, state) {
-        fitted.in_flight = n;
+    if let Some((n, check)) = deepest_fit(profile, partition, requested, model, state) {
         return Some(FitOutcome {
             kind: requested,
             in_flight: n,
             switched: false,
-            check: check(profile, &fitted, requested, model, state),
+            check,
         });
     }
     let mut best: Option<(f64, FitOutcome)> = None;
@@ -171,10 +168,9 @@ pub fn fit_schedule(
         if kind == requested {
             continue;
         }
-        let Some(n) = max_fit_in_flight(profile, partition, kind, model, state) else {
+        let Some((n, check)) = deepest_fit(profile, partition, kind, model, state) else {
             continue;
         };
-        fitted.in_flight = n;
         let s = score(kind, n);
         let better = match &best {
             Some((bs, _)) => s > *bs,
@@ -187,7 +183,7 @@ pub fn fit_schedule(
                     kind,
                     in_flight: n,
                     switched: true,
-                    check: check(profile, &fitted, kind, model, state),
+                    check,
                 },
             ));
         }
@@ -250,17 +246,14 @@ mod tests {
         let mut part = two_stage(p.n_layers(), 20);
         let st = state(GpuKind::P100);
         let m = MemoryModel::default();
-        let n = max_fit_in_flight(&p, &part, ScheduleKind::PipeDreamAsync, &m, &st)
+        let c = clamp_in_flight(&p, &mut part, ScheduleKind::PipeDreamAsync, &m, &st)
             .expect("feasible at shallow depth");
-        assert!(n < 20, "got {n}");
-        assert!(clamp_in_flight(
-            &p,
-            &mut part,
-            ScheduleKind::PipeDreamAsync,
-            &m,
-            &st
-        ));
-        assert_eq!(part.in_flight, n);
+        assert!(part.in_flight < 20, "got {}", part.in_flight);
+        assert!(c.fits());
+        // One deeper does not fit.
+        let mut deeper = part.clone();
+        deeper.in_flight += 1;
+        assert!(!check(&p, &deeper, ScheduleKind::PipeDreamAsync, &m, &st).fits());
     }
 
     #[test]

@@ -6,17 +6,26 @@
 //! *actual* cluster state — heterogeneous per-worker bandwidth and compute,
 //! PS or Ring sync, framework constants, per-schedule bubbles — in O(L + N).
 //!
+//! Pricing is two steps: build a [`StageTable`] (one row per stage and
+//! per cut), then reduce it to an iteration time. A move that changes two
+//! adjacent stages re-prices only their rows and the cuts beside them
+//! against the base partition's table ([`AnalyticModel::edited_throughput`]),
+//! through the same row formulas and the same reduction, so its price is
+//! bit-identical to pricing the edited partition from scratch.
+//!
 //! The event engine cross-validates it: on uniform pipelines the two agree
 //! within a few percent (see `tests/engine_vs_analytic.rs`).
 
-use ap_cluster::ClusterState;
+use std::ops::Range;
+
+use ap_cluster::{ClusterState, GpuId};
 use ap_models::ModelProfile;
 
 use crate::calibration::Calibration;
 use crate::framework::Framework;
-use crate::partition::Partition;
+use crate::partition::{Partition, Stage};
 use crate::schedule::ScheduleKind;
-use crate::sync::{pair_bw, SyncScheme};
+use crate::sync::{pair_bw, SyncLinks, SyncScheme};
 
 /// Everything fixed about the workload except the partition and cluster
 /// state.
@@ -51,66 +60,118 @@ pub struct Eval {
     pub bottleneck: usize,
 }
 
+/// What a stage's replica set contributes to its price, found once per
+/// worker set: a layer change re-prices the stage without re-walking its
+/// workers.
+#[derive(Debug, Clone, Copy)]
+struct ReplicaTerms {
+    count: usize,
+    /// Effective FLOP/s of the slowest replica.
+    min_rate: f64,
+    /// The links the replicas' gradient sync is bound by.
+    sync: SyncLinks,
+}
+
+/// One stage's row of a [`StageTable`].
+#[derive(Debug, Clone, Copy)]
+struct StageRow {
+    replicas: ReplicaTerms,
+    /// Per-mini-batch CPU occupancy of one replica.
+    occupancy: f64,
+    /// Per-mini-batch stage time: occupancy over the replicas plus
+    /// gradient sync.
+    time: f64,
+}
+
+/// One cut's row of a [`StageTable`].
+#[derive(Debug, Clone, Copy)]
+struct CutRow {
+    /// Mean seconds per byte over the sender × receiver replica pairs
+    /// (the harmonic mean of their bandwidths).
+    sec_per_byte: f64,
+    /// Per-mini-batch transfer time across the cut.
+    time: f64,
+}
+
+/// A partition priced stage by stage ([`AnalyticModel::table`]): per stage
+/// the slowest replica rate, the sync links, the occupancy and the stage
+/// time; per cut the mean seconds per byte and the cut time. Reduced to
+/// an iteration time by [`AnalyticModel::evaluate`], and the base that
+/// [`AnalyticModel::edited_throughput`] re-prices edits against.
+#[derive(Debug, Clone)]
+pub struct StageTable {
+    stages: Vec<StageRow>,
+    /// Cut `c` sits between stages `c` and `c + 1`.
+    cuts: Vec<CutRow>,
+    in_flight: usize,
+}
+
+/// A change confined to two adjacent stages of a base partition: a moved
+/// boundary between them, new replica sets for them, or both.
+#[derive(Debug, Clone, Copy)]
+pub struct PairEdit<'w> {
+    /// Left stage of the pair.
+    pub left: usize,
+    /// First layer of the right stage.
+    pub boundary: usize,
+    /// New replica sets of the left and right stage; `None` keeps both.
+    pub workers: Option<(&'w [GpuId], &'w [GpuId])>,
+    /// In-flight depth of the edited partition.
+    pub in_flight: usize,
+}
+
 impl<'a> AnalyticModel<'a> {
-    /// Time stage `s` spends per mini-batch: compute spread over its
-    /// replicas plus (for replicated stages) gradient synchronization.
-    pub fn stage_time(&self, partition: &Partition, s: usize, state: &ClusterState) -> f64 {
-        let st = &partition.stages[s];
-        let (lo, hi) = (st.layers.start, st.layers.end);
-        // Replicated stages round-robin whole mini-batches (PipeDream's
-        // scheme), so a straggling replica throttles the stage: the
-        // sustained rate is m x the slowest replica, not the pooled sum.
-        let m = st.workers.len() as f64;
-        let occ = self.stage_occupancy(partition, s, state);
-        let sync_bytes = self.profile.range_params(lo, hi);
-        if self.schedule.is_async() {
-            // Each replica's update cadence is paced by whichever is
-            // slower: computing its own mini-batch or pushing its update
-            // through the contended fabric (the next backward is gated on
-            // the previous sync). The stage produces one mini-batch per
-            // `cadence / m`.
-            let sync_one = self
-                .scheme
-                .async_update_time(sync_bytes, &st.workers, state)
-                / self.framework.comm_efficiency;
-            occ.max(sync_one) / m
-        } else {
-            // Flush schedules synchronize the full stage once per
-            // mini-batch at the barrier.
-            let t_sync = self.scheme.sync_time(sync_bytes, &st.workers, state)
-                / self.framework.comm_efficiency;
-            occ / m + t_sync
+    /// Replica terms of a stage running on `workers`. Replicated stages
+    /// round-robin whole mini-batches (PipeDream's scheme), so a
+    /// straggling replica throttles the stage: the sustained rate is m x
+    /// the slowest replica, not the pooled sum.
+    fn replica_terms(&self, workers: &[GpuId], state: &ClusterState) -> ReplicaTerms {
+        ReplicaTerms {
+            count: workers.len(),
+            min_rate: workers
+                .iter()
+                .map(|&w| state.effective_flops(w) * self.framework.compute_efficiency)
+                .fold(f64::INFINITY, f64::min),
+            sync: self.scheme.links(workers, state),
         }
     }
 
-    /// Per-mini-batch *CPU occupancy* of one replica of stage `s`:
-    /// compute at the slowest replica's rate plus calibrated runtime
-    /// overheads (codec ops on each boundary — one act + one grad frame
-    /// per mini-batch, each encoded once and decoded once — the
-    /// weight-stash snapshot, and the fixed dispatch/loss residual), all
-    /// of which occupy the stage thread serially with compute. Excludes
-    /// wire and sync time: those wait, they don't burn a core. Exactly
-    /// one replica pays this per mini-batch, so it doubles as the stage's
-    /// per-mini-batch contribution to host CPU demand.
-    fn stage_occupancy(&self, partition: &Partition, s: usize, state: &ClusterState) -> f64 {
-        let st = &partition.stages[s];
-        let (lo, hi) = (st.layers.start, st.layers.end);
+    /// Whether non-final stages snapshot a weight stash per forward.
+    fn stashes(&self, in_flight: usize) -> bool {
+        self.schedule.is_async() && in_flight > 1
+    }
+
+    /// The row of stage `s` of `n_stages`, covering `layers` on replicas
+    /// with `replicas` terms, at depth `in_flight`.
+    ///
+    /// Occupancy is the per-mini-batch CPU time of one replica: compute at
+    /// the slowest replica's rate plus calibrated runtime overheads (codec
+    /// ops on each boundary — one act + one grad frame per mini-batch,
+    /// each encoded once and decoded once — the weight-stash snapshot, and
+    /// the fixed dispatch/loss residual), all of which occupy the stage
+    /// thread serially with compute. It excludes wire and sync time: those
+    /// wait, they don't burn a core. Exactly one replica pays it per
+    /// mini-batch, so it doubles as the stage's per-mini-batch
+    /// contribution to host CPU demand.
+    fn stage_row(
+        &self,
+        layers: Range<usize>,
+        s: usize,
+        n_stages: usize,
+        in_flight: usize,
+        replicas: ReplicaTerms,
+    ) -> StageRow {
+        let (lo, hi) = (layers.start, layers.end);
         let mut work = self.profile.range_work(lo, hi);
         // GPipe-style recomputation re-runs the forward (1/3 of fwd+bwd).
         work *= 1.0 + self.schedule.recompute_factor() / 3.0;
-        let min_rate = st
-            .workers
-            .iter()
-            .map(|&w| state.effective_flops(w) * self.framework.compute_efficiency)
-            .fold(f64::INFINITY, f64::min);
         let extra = match self.calibration {
             Some(c) => {
-                let last = partition.n_stages() - 1;
+                let last = n_stages - 1;
                 let in_bytes = (s > 0).then(|| self.profile.cut_bytes(lo - 1));
                 let out_bytes = (s < last).then(|| self.profile.cut_bytes(hi - 1));
-                let stashes = self.schedule.is_async() && partition.in_flight > 1 && s < last;
-                let stash_bytes = if stashes {
-                    partition.stage_param_bytes(s, self.profile)
+                let stash_bytes = if self.stashes(in_flight) && s < last {
+                    self.profile.range_params(lo, hi)
                 } else {
                     0.0
                 };
@@ -118,40 +179,37 @@ impl<'a> AnalyticModel<'a> {
             }
             None => 0.0,
         };
-        work / min_rate + extra
-    }
-
-    /// Seconds per mini-batch the execution host's cores need to push
-    /// every stage's work through `compute_slots` slots, or `None` when
-    /// the calibration is absent or uncontended. With fewer cores than
-    /// stages, pipelining cannot hide compute behind compute: the host
-    /// can finish at most `slots` stage-seconds per wall-second, so the
-    /// aggregate `Σ occupancy / slots` is a hard throughput floor — on a
-    /// one-core host it is exactly the serialized sum of stage work.
-    fn host_capacity_time(&self, partition: &Partition, state: &ClusterState) -> Option<f64> {
-        let c = self.calibration?;
-        if c.compute_slots == 0 || partition.n_stages() <= c.compute_slots {
-            return None;
+        let occupancy = work / replicas.min_rate + extra;
+        let m = replicas.count as f64;
+        let sync_bytes = self.profile.range_params(lo, hi);
+        let time = if self.schedule.is_async() {
+            // Each replica's update cadence is paced by whichever is
+            // slower: computing its own mini-batch or pushing its update
+            // through the contended fabric (the next backward is gated on
+            // the previous sync). The stage produces one mini-batch per
+            // `cadence / m`.
+            let sync_one =
+                replicas.sync.async_update_time(sync_bytes) / self.framework.comm_efficiency;
+            occupancy.max(sync_one) / m
+        } else {
+            // Flush schedules synchronize the full stage once per
+            // mini-batch at the barrier.
+            let t_sync = replicas.sync.sync_time(sync_bytes) / self.framework.comm_efficiency;
+            occupancy / m + t_sync
+        };
+        StageRow {
+            replicas,
+            occupancy,
+            time,
         }
-        let total: f64 = (0..partition.n_stages())
-            .map(|s| self.stage_occupancy(partition, s, state))
-            .sum();
-        Some(total / c.compute_slots as f64)
     }
 
-    /// Activation/gradient transfer time across cut `c` (between stages
-    /// `c` and `c+1`) per mini-batch. Forward activations and backward
-    /// gradients ride opposite directions of full-duplex links, so the cut
-    /// costs one activation tensor's worth of time.
-    pub fn cut_time(&self, partition: &Partition, c: usize, state: &ClusterState) -> f64 {
-        let cut_layer = partition.stages[c].layers.end - 1;
-        let bytes = self.profile.cut_bytes(cut_layer);
-        let senders = &partition.stages[c].workers;
-        let receivers = &partition.stages[c + 1].workers;
-        // Transfers pair replicas round-robin, so the mean *time* per
-        // mini-batch is the average of per-pair times — i.e. the harmonic
-        // mean of the pairwise bandwidths. (An arithmetic mean would let
-        // one fast colocated pair hide many slow cross-server pairs.)
+    /// Mean seconds per byte between `senders` and `receivers`.
+    /// Transfers pair replicas round-robin, so the mean *time* per
+    /// mini-batch is the average of per-pair times — i.e. the harmonic
+    /// mean of the pairwise bandwidths. (An arithmetic mean would let one
+    /// fast colocated pair hide many slow cross-server pairs.)
+    fn sec_per_byte(senders: &[GpuId], receivers: &[GpuId], state: &ClusterState) -> f64 {
         let mut inv_sum = 0.0;
         let mut n = 0usize;
         for &a in senders {
@@ -160,65 +218,117 @@ impl<'a> AnalyticModel<'a> {
                 n += 1;
             }
         }
-        let mean_time_per_byte = inv_sum / n as f64;
-        bytes * mean_time_per_byte / self.framework.comm_efficiency
+        inv_sum / n as f64
     }
 
-    /// Evaluate a partition in the given cluster state.
-    pub fn evaluate(&self, partition: &Partition, state: &ClusterState) -> Eval {
+    /// The row of the cut after layer `cut_layer`. Forward activations and
+    /// backward gradients ride opposite directions of full-duplex links,
+    /// so the cut costs one activation tensor's worth of time.
+    fn cut_row(&self, cut_layer: usize, sec_per_byte: f64) -> CutRow {
+        let bytes = self.profile.cut_bytes(cut_layer);
+        CutRow {
+            sec_per_byte,
+            time: bytes * sec_per_byte / self.framework.comm_efficiency,
+        }
+    }
+
+    fn cut_between(&self, left: &Stage, right: &Stage, state: &ClusterState) -> CutRow {
+        let spb = Self::sec_per_byte(&left.workers, &right.workers, state);
+        self.cut_row(left.layers.end - 1, spb)
+    }
+
+    /// Price every stage and cut of `partition`.
+    pub fn table(&self, partition: &Partition, state: &ClusterState) -> StageTable {
         debug_assert!(partition.validate(self.profile.n_layers()).is_ok());
-        let s_count = partition.n_stages();
-        let micro = self.schedule.micro_batches() as f64;
+        let n = partition.n_stages();
+        StageTable {
+            stages: partition
+                .stages
+                .iter()
+                .enumerate()
+                .map(|(s, st)| {
+                    let terms = self.replica_terms(&st.workers, state);
+                    self.stage_row(st.layers.clone(), s, n, partition.in_flight, terms)
+                })
+                .collect(),
+            cuts: partition
+                .stages
+                .windows(2)
+                .map(|w| self.cut_between(&w[0], &w[1], state))
+                .collect(),
+            in_flight: partition.in_flight,
+        }
+    }
 
-        // Per-mini-batch stage and cut times (micro-batching divides the
-        // per-unit time but not the total).
-        let stage_times: Vec<f64> = (0..s_count)
-            .map(|s| self.stage_time(partition, s, state))
-            .collect();
-        let cut_times: Vec<f64> = (0..s_count.saturating_sub(1))
-            .map(|c| self.cut_time(partition, c, state))
-            .collect();
-
+    /// The bottleneck unit time and its index over `n_stages` stage rows
+    /// and their cuts. A host with fewer compute slots than stages adds
+    /// one more bottleneck: its aggregate capacity across all stage
+    /// threads — it can finish at most `slots` stage-seconds per
+    /// wall-second, so `Σ occupancy / slots` (summed in stage order) is a
+    /// hard floor; on a one-core host it is the serialized sum of stage
+    /// work.
+    fn bottleneck<'t>(
+        &self,
+        n_stages: usize,
+        stage: impl Fn(usize) -> &'t StageRow,
+        cut: impl Fn(usize) -> &'t CutRow,
+    ) -> (f64, usize) {
+        let n_cuts = n_stages - 1;
         let (mut bottleneck, mut unit) = (0usize, 0.0f64);
-        for (i, &t) in stage_times.iter().enumerate() {
+        for i in 0..n_stages {
+            let t = stage(i).time;
             if t > unit {
                 unit = t;
                 bottleneck = i;
             }
         }
-        for (i, &t) in cut_times.iter().enumerate() {
+        for i in 0..n_cuts {
+            let t = cut(i).time;
             if t > unit {
                 unit = t;
-                bottleneck = s_count + i;
+                bottleneck = n_stages + i;
             }
         }
-        // A host with fewer compute slots than stages adds one more
-        // bottleneck: its aggregate capacity across all stage threads.
-        if let Some(cap) = self.host_capacity_time(partition, state) {
-            if cap > unit {
-                unit = cap;
-                bottleneck = s_count + cut_times.len();
+        if let Some(c) = self.calibration {
+            if c.compute_slots != 0 && n_stages > c.compute_slots {
+                let total: f64 = (0..n_stages).map(|s| stage(s).occupancy).sum();
+                let cap = total / c.compute_slots as f64;
+                if cap > unit {
+                    unit = cap;
+                    bottleneck = n_stages + n_cuts;
+                }
             }
         }
+        (unit, bottleneck)
+    }
 
-        // Async: one mini-batch completes per bottleneck unit.
-        // Sync-flush: m micro-batches at 1/m unit each, inflated by the
-        // bubble fraction.
-        let bubble = self.schedule.bubble_fraction(s_count);
-        let iteration_time = if self.schedule.is_async() {
+    /// Steady-state seconds per mini-batch with bottleneck `unit`.
+    /// Async: one mini-batch completes per bottleneck unit. Sync-flush:
+    /// m micro-batches at 1/m unit each, inflated by the bubble fraction.
+    fn iteration_time(&self, unit: f64, n_stages: usize) -> f64 {
+        if self.schedule.is_async() {
             unit + self.framework.per_iter_overhead
         } else {
+            let micro = self.schedule.micro_batches() as f64;
+            let bubble = self.schedule.bubble_fraction(n_stages);
             // Per-micro unit = unit / m; m units of useful work stretched
             // by fill/drain.
             let useful = micro * (unit / micro);
             useful / (1.0 - bubble) + self.framework.per_iter_overhead
-        };
-        let throughput = self.profile.batch as f64 / iteration_time;
+        }
+    }
+
+    /// Evaluate a partition in the given cluster state.
+    pub fn evaluate(&self, partition: &Partition, state: &ClusterState) -> Eval {
+        let table = self.table(partition, state);
+        let n = table.stages.len();
+        let (unit, bottleneck) = self.bottleneck(n, |s| &table.stages[s], |c| &table.cuts[c]);
+        let iteration_time = self.iteration_time(unit, n);
         Eval {
             iteration_time,
-            throughput,
-            stage_times,
-            cut_times,
+            throughput: self.profile.batch as f64 / iteration_time,
+            stage_times: table.stages.iter().map(|r| r.time).collect(),
+            cut_times: table.cuts.iter().map(|r| r.time).collect(),
             bottleneck,
         }
     }
@@ -226,6 +336,81 @@ impl<'a> AnalyticModel<'a> {
     /// Throughput shortcut.
     pub fn throughput(&self, partition: &Partition, state: &ClusterState) -> f64 {
         self.evaluate(partition, state).throughput
+    }
+
+    /// Throughput of `base` after `edit`, re-pricing only the edited pair
+    /// and the cuts beside it against `table` (the base's own table).
+    /// Equal bit for bit to [`AnalyticModel::throughput`] of the edited
+    /// partition. An edit that turns the weight stash on or off under a
+    /// calibration changes every stage's occupancy, so it re-prices the
+    /// whole edited partition instead.
+    pub fn edited_throughput(
+        &self,
+        table: &StageTable,
+        base: &Partition,
+        edit: &PairEdit<'_>,
+        state: &ClusterState,
+    ) -> f64 {
+        let (a, b) = (edit.left, edit.left + 1);
+        let n = base.n_stages();
+        let left = base.stages[a].layers.start..edit.boundary;
+        let right = edit.boundary..base.stages[b].layers.end;
+        if self.calibration.is_some()
+            && self.stashes(edit.in_flight) != self.stashes(table.in_flight)
+        {
+            let mut p = base.clone();
+            p.stages[a].layers = left;
+            p.stages[b].layers = right;
+            if let Some((wa, wb)) = edit.workers {
+                p.stages[a].workers = wa.to_vec();
+                p.stages[b].workers = wb.to_vec();
+            }
+            p.in_flight = edit.in_flight;
+            return self.throughput(&p, state);
+        }
+        let row = |s: usize, layers, terms| self.stage_row(layers, s, n, edit.in_flight, terms);
+        let mut cuts = [None; 3];
+        let (ra, rb) = match edit.workers {
+            // Same replicas: reuse their terms and the cut's pair means.
+            None => {
+                cuts[1] = Some(self.cut_row(edit.boundary - 1, table.cuts[a].sec_per_byte));
+                (
+                    row(a, left, table.stages[a].replicas),
+                    row(b, right, table.stages[b].replicas),
+                )
+            }
+            Some((wa, wb)) => {
+                if a > 0 {
+                    let prev = &base.stages[a - 1];
+                    let spb = Self::sec_per_byte(&prev.workers, wa, state);
+                    cuts[0] = Some(self.cut_row(prev.layers.end - 1, spb));
+                }
+                let spb = Self::sec_per_byte(wa, wb, state);
+                cuts[1] = Some(self.cut_row(edit.boundary - 1, spb));
+                if b + 1 < n {
+                    let spb = Self::sec_per_byte(wb, &base.stages[b + 1].workers, state);
+                    cuts[2] = Some(self.cut_row(right.end - 1, spb));
+                }
+                (
+                    row(a, left, self.replica_terms(wa, state)),
+                    row(b, right, self.replica_terms(wb, state)),
+                )
+            }
+        };
+        let stage = |s: usize| match s {
+            _ if s == a => &ra,
+            _ if s == b => &rb,
+            _ => &table.stages[s],
+        };
+        let cut = |c: usize| {
+            let edited = (c + 1).checked_sub(a).and_then(|k| cuts.get(k));
+            match edited {
+                Some(Some(row)) => row,
+                _ => &table.cuts[c],
+            }
+        };
+        let (unit, _) = self.bottleneck(n, stage, cut);
+        self.profile.batch as f64 / self.iteration_time(unit, n)
     }
 }
 

@@ -38,7 +38,7 @@ pub mod switching;
 pub mod sync;
 pub mod trace;
 
-pub use analytic::AnalyticModel;
+pub use analytic::{AnalyticModel, PairEdit, StageTable};
 pub use calibration::Calibration;
 pub use convergence::{accuracy_curve, ConvergenceModel, Paradigm};
 pub use engine::{

@@ -156,14 +156,16 @@ impl Partition {
     /// over-deep pipeline still costs real fill time and staleness, so the
     /// overlap term is additive, not per-replica.)
     pub fn default_in_flight(&self) -> usize {
-        let first = self
-            .stages
-            .first()
-            .map(Stage::n_workers)
-            .unwrap_or(1)
-            .max(1);
-        let round_robin = self.n_workers().div_ceil(first) * first;
-        round_robin.max(2 * self.n_stages() + first).max(1)
+        let first = self.stages.first().map(Stage::n_workers).unwrap_or(1);
+        Self::default_depth(self.n_workers(), self.n_stages(), first)
+    }
+
+    /// [`Partition::default_in_flight`] of any partition with `n_workers`
+    /// workers over `n_stages` stages, `first` of them on the input stage.
+    pub fn default_depth(n_workers: usize, n_stages: usize, first: usize) -> usize {
+        let first = first.max(1);
+        let round_robin = n_workers.div_ceil(first) * first;
+        round_robin.max(2 * n_stages + first).max(1)
     }
 
     /// Check structural validity against a model with `n_layers` layers:

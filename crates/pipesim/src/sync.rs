@@ -32,51 +32,96 @@ impl SyncScheme {
     /// Wall-clock seconds to synchronize `bytes` of gradients across
     /// `workers` in `state`. Zero for a single replica.
     pub fn sync_time(self, bytes: f64, workers: &[GpuId], state: &ClusterState) -> f64 {
-        let m = workers.len();
-        if m <= 1 {
-            return 0.0;
-        }
-        match self {
-            SyncScheme::RingAllReduce => {
-                // Classic ring: 2(m-1)/m * bytes over the slowest hop.
-                let bw = slowest_pairwise_bw(workers, state);
-                2.0 * (m as f64 - 1.0) / m as f64 * bytes / bw
-            }
-            SyncScheme::ParameterServer => {
-                // The PS sits with replica 0: it ingests (m-1) pushes and
-                // serves (m-1) pulls over its own NIC, which becomes the
-                // bottleneck; remote workers move 2*bytes each.
-                let server = workers[0];
-                let server_link = worker_bandwidth(server, state);
-                let server_time = 2.0 * bytes * (m as f64 - 1.0) / server_link;
-                let worker_time = workers[1..]
-                    .iter()
-                    .map(|&w| 2.0 * bytes / pair_bw(server, w, state))
-                    .fold(0.0_f64, f64::max);
-                server_time.max(worker_time)
-            }
-        }
+        self.links(workers, state).sync_time(bytes)
     }
-}
 
-impl SyncScheme {
     /// Wall-clock seconds for **one replica's update** to synchronize when
     /// all `m` replicas run their own update concurrently (PipeDream's
     /// asynchronous round-robin: every mini-batch triggers its own sync,
     /// so `m` syncs share the links at steady state).
-    ///
-    /// * PS: the server NIC carries `m-1` concurrent push+pull pairs —
-    ///   which is exactly what [`SyncScheme::sync_time`] already charges.
-    /// * Ring: `m` concurrent ring passes each get `1/m` of every hop, so
-    ///   one pass takes `m` times the exclusive ring time.
     pub fn async_update_time(self, bytes: f64, workers: &[GpuId], state: &ClusterState) -> f64 {
+        self.links(workers, state).async_update_time(bytes)
+    }
+
+    /// The links `workers`' gradient sync is bound by in `state`: what
+    /// [`SyncLinks::sync_time`] prices any byte count against without
+    /// walking the workers again.
+    pub(crate) fn links(self, workers: &[GpuId], state: &ClusterState) -> SyncLinks {
         let m = workers.len();
+        let (hop, path) = match self {
+            _ if m <= 1 => (f64::INFINITY, f64::INFINITY),
+            SyncScheme::RingAllReduce => (slowest_pairwise_bw(workers, state), f64::INFINITY),
+            SyncScheme::ParameterServer => {
+                let server = workers[0];
+                let path = workers[1..]
+                    .iter()
+                    .map(|&w| pair_bw(server, w, state))
+                    .fold(f64::INFINITY, f64::min);
+                (worker_bandwidth(server, state), path)
+            }
+        };
+        SyncLinks {
+            scheme: self,
+            replicas: m,
+            hop,
+            path,
+        }
+    }
+}
+
+/// The bandwidths one replicated stage's gradient sync is bound by,
+/// found once per worker set ([`SyncScheme::links`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SyncLinks {
+    scheme: SyncScheme,
+    replicas: usize,
+    /// Ring: the slowest pairwise hop. PS: the server's own NIC.
+    hop: f64,
+    /// PS: the slowest server-to-replica path.
+    path: f64,
+}
+
+impl SyncLinks {
+    /// Seconds to synchronize `bytes` of gradients once. Zero for a
+    /// single replica.
+    pub(crate) fn sync_time(&self, bytes: f64) -> f64 {
+        let m = self.replicas;
         if m <= 1 {
             return 0.0;
         }
-        match self {
-            SyncScheme::ParameterServer => self.sync_time(bytes, workers, state),
-            SyncScheme::RingAllReduce => m as f64 * self.sync_time(bytes, workers, state),
+        match self.scheme {
+            SyncScheme::RingAllReduce => {
+                // Classic ring: 2(m-1)/m * bytes over the slowest hop.
+                2.0 * (m as f64 - 1.0) / m as f64 * bytes / self.hop
+            }
+            SyncScheme::ParameterServer => {
+                // The PS sits with replica 0: it ingests (m-1) pushes and
+                // serves (m-1) pulls over its own NIC, which becomes the
+                // bottleneck; remote workers move 2*bytes each, the
+                // slowest path last (division rounds monotonically, so
+                // this is the largest per-replica time exactly).
+                let server_time = 2.0 * bytes * (m as f64 - 1.0) / self.hop;
+                let worker_time = 0.0_f64.max(2.0 * bytes / self.path);
+                server_time.max(worker_time)
+            }
+        }
+    }
+
+    /// Seconds for one replica's update when all replicas sync
+    /// concurrently ([`SyncScheme::async_update_time`]).
+    ///
+    /// * PS: the server NIC carries `m-1` concurrent push+pull pairs —
+    ///   which is exactly what [`SyncLinks::sync_time`] already charges.
+    /// * Ring: `m` concurrent ring passes each get `1/m` of every hop, so
+    ///   one pass takes `m` times the exclusive ring time.
+    pub(crate) fn async_update_time(&self, bytes: f64) -> f64 {
+        let m = self.replicas;
+        if m <= 1 {
+            return 0.0;
+        }
+        match self.scheme {
+            SyncScheme::ParameterServer => self.sync_time(bytes),
+            SyncScheme::RingAllReduce => m as f64 * self.sync_time(bytes),
         }
     }
 }

@@ -13,9 +13,13 @@
 //!   adjacent stage (affects the moved worker and, through the changed
 //!   sync group, its old stage).
 
-use ap_pipesim::Partition;
+use ap_cluster::ClusterState;
+use ap_pipesim::{AnalyticModel, PairEdit, Partition, StageTable};
 
-/// The kind of incremental move that produced a candidate.
+/// One incremental move from a base partition: a descriptor that says
+/// everything needed to build the candidate ([`MoveKind::apply`]) or to
+/// price it against the base's stage table without building it
+/// ([`MoveKind::throughput`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MoveKind {
     /// Cut between stage `s` and `s+1` moved; positive = stage `s` grew.
@@ -25,7 +29,8 @@ pub enum MoveKind {
         /// Signed layer delta.
         delta: i64,
     },
-    /// One worker moved from `from` to `to` (adjacent stages).
+    /// The last worker of `from` moved to the end of `to` (adjacent
+    /// stages).
     ReplicaMigration {
         /// Source stage.
         from: usize,
@@ -41,25 +46,126 @@ pub enum MoveKind {
         /// Left stage of the merged pair.
         left: usize,
     },
-    /// Stage `stage` split into two at a work-balanced layer boundary,
-    /// dividing its replicas.
+    /// Stage `stage` split into two at layer `cut`, its first
+    /// `left_replicas` workers going left and the rest right.
     SplitStage {
         /// The stage that was split.
         stage: usize,
+        /// First layer of the new right stage.
+        cut: usize,
+        /// Replicas kept by the left stage.
+        left_replicas: usize,
     },
-    /// A replica evicted from `stage` (failure recovery: a degraded or
-    /// dead GPU throttles its whole round-robin stage, so shedding it can
-    /// win outright).
+    /// Replica `index` evicted from `stage` (failure recovery: a degraded
+    /// or dead GPU throttles its whole round-robin stage, so shedding it
+    /// can win outright).
     DropWorker {
         /// The stage the worker left.
         stage: usize,
+        /// The worker's position in the stage's replica list.
+        index: usize,
     },
 }
 
-/// Generate the two-worker neighborhood of `current`. Every returned
-/// partition is valid for `n_layers` and differs from `current` in at most
+impl MoveKind {
+    /// The candidate partition this move makes from `base`. Every move
+    /// but a boundary shift resets the depth to the candidate's
+    /// [`Partition::default_in_flight`].
+    pub fn apply(&self, base: &Partition) -> Partition {
+        let mut p = base.clone();
+        match *self {
+            MoveKind::BoundaryShift { stage, delta } => {
+                let end = (base.stages[stage].layers.end as i64 + delta) as usize;
+                p.stages[stage].layers.end = end;
+                p.stages[stage + 1].layers.start = end;
+                return p;
+            }
+            MoveKind::ReplicaMigration { from, to } => {
+                let w = p.stages[from].workers.pop().expect("donor keeps a worker");
+                p.stages[to].workers.push(w);
+            }
+            MoveKind::MergeStages { left } => {
+                let right = p.stages.remove(left + 1);
+                p.stages[left].layers.end = right.layers.end;
+                p.stages[left].workers.extend(right.workers);
+            }
+            MoveKind::SplitStage {
+                stage,
+                cut,
+                left_replicas,
+            } => {
+                let st = &base.stages[stage];
+                p.stages[stage] =
+                    crate::Stage::new(st.layers.start..cut, st.workers[..left_replicas].to_vec());
+                p.stages.insert(
+                    stage + 1,
+                    crate::Stage::new(cut..st.layers.end, st.workers[left_replicas..].to_vec()),
+                );
+            }
+            MoveKind::DropWorker { stage, index } => {
+                p.stages[stage].workers.remove(index);
+            }
+        }
+        p.in_flight = p.default_in_flight();
+        p
+    }
+
+    /// Analytic throughput of [`MoveKind::apply`]`(base)`, bit for bit.
+    /// `table` must be `model`'s table of `base` in `state`. Boundary
+    /// shifts and replica migrations touch two adjacent stages and are
+    /// priced from the table without building the candidate; merges,
+    /// splits and drops change the stage count or a depth-setting replica
+    /// set and are priced whole.
+    pub fn throughput(
+        &self,
+        model: &AnalyticModel<'_>,
+        table: &StageTable,
+        base: &Partition,
+        state: &ClusterState,
+    ) -> f64 {
+        match *self {
+            MoveKind::BoundaryShift { stage, delta } => {
+                let boundary = (base.stages[stage].layers.end as i64 + delta) as usize;
+                let edit = PairEdit {
+                    left: stage,
+                    boundary,
+                    workers: None,
+                    in_flight: base.in_flight,
+                };
+                model.edited_throughput(table, base, &edit, state)
+            }
+            MoveKind::ReplicaMigration { from, to } => {
+                let donor = &base.stages[from].workers;
+                let (&moved, kept) = donor.split_last().expect("donor keeps a worker");
+                let mut grown = base.stages[to].workers.clone();
+                grown.push(moved);
+                let first = match (from, to) {
+                    (0, _) => kept.len(),
+                    (_, 0) => grown.len(),
+                    _ => base.stages[0].workers.len(),
+                };
+                let (left, workers) = if from < to {
+                    (from, (kept, &grown[..]))
+                } else {
+                    (to, (&grown[..], kept))
+                };
+                let edit = PairEdit {
+                    left,
+                    boundary: base.stages[left + 1].layers.start,
+                    workers: Some(workers),
+                    in_flight: Partition::default_depth(base.n_workers(), base.n_stages(), first),
+                };
+                model.edited_throughput(table, base, &edit, state)
+            }
+            _ => model.throughput(&self.apply(base), state),
+        }
+    }
+}
+
+/// Generate the two-worker neighborhood of `current`. Every move yields a
+/// partition valid for `n_layers` that differs from `current` in at most
 /// two stages' assignments.
-pub fn two_worker_moves(current: &Partition, n_layers: usize) -> Vec<(MoveKind, Partition)> {
+pub fn two_worker_moves(current: &Partition, n_layers: usize) -> Vec<MoveKind> {
     debug_assert!(current.validate(n_layers).is_ok());
     let mut out = Vec::new();
     let s_count = current.n_stages();
@@ -68,64 +174,44 @@ pub fn two_worker_moves(current: &Partition, n_layers: usize) -> Vec<(MoveKind, 
     for s in 0..s_count.saturating_sub(1) {
         let left = &current.stages[s];
         let right = &current.stages[s + 1];
-        // Shift right (left grows): new boundary in (old, right.end).
-        for new_end in (left.layers.end + 1)..right.layers.end {
-            let mut p = current.clone();
-            p.stages[s].layers = left.layers.start..new_end;
-            p.stages[s + 1].layers = new_end..right.layers.end;
-            let delta = new_end as i64 - left.layers.end as i64;
-            out.push((MoveKind::BoundaryShift { stage: s, delta }, p));
-        }
-        // Shift left (left shrinks): new boundary in (left.start, old).
-        for new_end in (left.layers.start + 1)..left.layers.end {
-            let mut p = current.clone();
-            p.stages[s].layers = left.layers.start..new_end;
-            p.stages[s + 1].layers = new_end..right.layers.end;
-            let delta = new_end as i64 - left.layers.end as i64;
-            out.push((MoveKind::BoundaryShift { stage: s, delta }, p));
+        let old = left.layers.end as i64;
+        // Shift right (left grows): new boundary in (old, right.end), then
+        // shift left (left shrinks): new boundary in (left.start, old).
+        let grow = (left.layers.end + 1)..right.layers.end;
+        let shrink = (left.layers.start + 1)..left.layers.end;
+        for new_end in grow.chain(shrink) {
+            let delta = new_end as i64 - old;
+            out.push(MoveKind::BoundaryShift { stage: s, delta });
         }
     }
 
     // Replica migrations between adjacent stages (donor keeps >= 1).
     for s in 0..s_count {
+        if current.stages[s].workers.len() <= 1 {
+            continue;
+        }
         for t in [s.wrapping_sub(1), s + 1] {
-            if t >= s_count || t == s || s == usize::MAX {
-                continue;
+            if t < s_count {
+                out.push(MoveKind::ReplicaMigration { from: s, to: t });
             }
-            if current.stages[s].workers.len() <= 1 {
-                continue;
-            }
-            let mut p = current.clone();
-            let Some(w) = p.stages[s].workers.pop() else {
-                continue;
-            };
-            p.stages[t].workers.push(w);
-            p.in_flight = p.default_in_flight();
-            out.push((MoveKind::ReplicaMigration { from: s, to: t }, p));
         }
     }
 
     // Stage merges: fuse adjacent stages into one replicated stage.
     for s in 0..s_count.saturating_sub(1) {
-        let mut p = current.clone();
-        let right = p.stages.remove(s + 1);
-        p.stages[s].layers = p.stages[s].layers.start..right.layers.end;
-        p.stages[s].workers.extend(right.workers);
-        p.in_flight = p.default_in_flight();
-        out.push((MoveKind::MergeStages { left: s }, p));
+        out.push(MoveKind::MergeStages { left: s });
     }
 
-    debug_assert!(out.iter().all(|(_, p)| p.validate(n_layers).is_ok()));
+    debug_assert!(out
+        .iter()
+        .all(|m| m.apply(current).validate(n_layers).is_ok()));
     out
 }
 
 /// Stage splits need per-layer work to pick a balanced cut; generated
 /// separately so callers without a profile can still use
 /// [`two_worker_moves`].
-pub fn split_moves(
-    current: &Partition,
-    profile: &ap_models::ModelProfile,
-) -> Vec<(MoveKind, Partition)> {
+pub fn split_moves(current: &Partition, profile: &ap_models::ModelProfile) -> Vec<MoveKind> {
     let mut out = Vec::new();
     for s in 0..current.n_stages() {
         let st = &current.stages[s];
@@ -150,21 +236,18 @@ pub fn split_moves(
             }
         }
         for cut in cuts {
-            for left in 1..st.workers.len() {
-                let mut p = current.clone();
-                let left_workers = st.workers[..left].to_vec();
-                let right_workers = st.workers[left..].to_vec();
-                p.stages[s] = crate::Stage::new(st.layers.start..cut, left_workers);
-                p.stages
-                    .insert(s + 1, crate::Stage::new(cut..st.layers.end, right_workers));
-                p.in_flight = p.default_in_flight();
-                out.push((MoveKind::SplitStage { stage: s }, p));
+            for left_replicas in 1..st.workers.len() {
+                out.push(MoveKind::SplitStage {
+                    stage: s,
+                    cut,
+                    left_replicas,
+                });
             }
         }
     }
     debug_assert!(out
         .iter()
-        .all(|(_, p)| p.validate(profile.n_layers()).is_ok()));
+        .all(|m| m.apply(current).validate(profile.n_layers()).is_ok()));
     out
 }
 
@@ -185,28 +268,22 @@ where
 /// more than one. Unlike the other moves these shrink the worker set, so
 /// they live outside [`all_moves`]; the controller adds them so it can
 /// evacuate failed or heavily-degraded GPUs.
-pub fn drop_moves(current: &Partition) -> Vec<(MoveKind, Partition)> {
+pub fn drop_moves(current: &Partition) -> Vec<MoveKind> {
     let mut out = Vec::new();
     for s in 0..current.n_stages() {
         let m = current.stages[s].workers.len();
         if m < 2 {
             continue;
         }
-        for k in 0..m {
-            let mut p = current.clone();
-            p.stages[s].workers.remove(k);
-            p.in_flight = p.default_in_flight();
-            out.push((MoveKind::DropWorker { stage: s }, p));
+        for index in 0..m {
+            out.push(MoveKind::DropWorker { stage: s, index });
         }
     }
     out
 }
 
 /// The full incremental neighborhood: two-worker moves plus stage splits.
-pub fn all_moves(
-    current: &Partition,
-    profile: &ap_models::ModelProfile,
-) -> Vec<(MoveKind, Partition)> {
+pub fn all_moves(current: &Partition, profile: &ap_models::ModelProfile) -> Vec<MoveKind> {
     let mut out = two_worker_moves(current, profile.n_layers());
     out.extend(split_moves(current, profile));
     out
@@ -233,9 +310,10 @@ mod tests {
         let b = base();
         let moves = two_worker_moves(&b, 10);
         assert!(!moves.is_empty());
-        for (k, p) in &moves {
+        for k in &moves {
+            let p = k.apply(&b);
             assert!(p.validate(10).is_ok(), "{k:?}");
-            assert_ne!(p, &b, "{k:?} produced a no-op");
+            assert_ne!(p, b, "{k:?} produced a no-op");
         }
     }
 
@@ -245,7 +323,7 @@ mod tests {
         let moves = two_worker_moves(&b, 10);
         let shifts = moves
             .iter()
-            .filter(|(k, _)| matches!(k, MoveKind::BoundaryShift { .. }))
+            .filter(|k| matches!(k, MoveKind::BoundaryShift { .. }))
             .count();
         // Boundary can sit at layers 1..=9 except the current 4: 8 options.
         assert_eq!(shifts, 8);
@@ -257,11 +335,11 @@ mod tests {
         let moves = two_worker_moves(&b, 10);
         let migs: Vec<_> = moves
             .iter()
-            .filter(|(k, _)| matches!(k, MoveKind::ReplicaMigration { .. }))
+            .filter(|k| matches!(k, MoveKind::ReplicaMigration { .. }))
             .collect();
         // Only stage 0 has a spare worker; it can donate to stage 1 only.
         assert_eq!(migs.len(), 1);
-        let (_, p) = migs[0];
+        let p = migs[0].apply(&b);
         assert_eq!(p.stages[0].workers.len(), 1);
         assert_eq!(p.stages[1].workers.len(), 2);
     }
@@ -272,7 +350,8 @@ mod tests {
         let drops = drop_moves(&b);
         // Stage 0 has two replicas -> two eviction candidates.
         assert_eq!(drops.len(), 2);
-        for (_, p) in &drops {
+        for k in &drops {
+            let p = k.apply(&b);
             assert!(p.validate(10).is_ok());
             assert_eq!(p.n_workers(), b.n_workers() - 1);
         }
@@ -295,7 +374,8 @@ mod tests {
             ],
             in_flight: 3,
         };
-        for (k, q) in two_worker_moves(&p, 9) {
+        for k in two_worker_moves(&p, 9) {
+            let q = k.apply(&p);
             if matches!(k, MoveKind::MergeStages { .. }) {
                 // Merges change the stage count by one.
                 assert_eq!(q.n_stages(), p.n_stages() - 1, "{k:?}");

@@ -398,14 +398,10 @@ impl ClusterScheduler {
         partition: &mut Partition,
     ) -> Result<MemCheck, RejectReason> {
         let kind = self.cfg.env.schedule;
-        if clamp_in_flight(profile, partition, kind, &self.cfg.mem_model, &self.state) {
-            return Ok(mem_check(
-                profile,
-                partition,
-                kind,
-                &self.cfg.mem_model,
-                &self.state,
-            ));
+        if let Some(check) =
+            clamp_in_flight(profile, partition, kind, &self.cfg.mem_model, &self.state)
+        {
+            return Ok(check);
         }
         let mut probe = partition.clone();
         probe.in_flight = 1;
@@ -685,13 +681,15 @@ impl ClusterScheduler {
             .propose(&profile, &current, &view, &self.cfg.env);
         // A proposal the devices cannot hold at any stash depth is not a
         // move candidate; keep the (already fitting) current plan.
-        if !clamp_in_flight(
+        if clamp_in_flight(
             &profile,
             &mut proposal,
             self.cfg.env.schedule,
             &self.cfg.mem_model,
             &view,
-        ) {
+        )
+        .is_none()
+        {
             if let Some(j) = self.jobs.get_mut(&id) {
                 j.predicted = old_pred;
             }

@@ -31,8 +31,8 @@ use ap_pipesim::{
 use ap_planner::{pipedream_plan, sort_stage_workers_by, PipeDreamView};
 use ap_resilience::Deadline;
 use autopipe::controller::enumerate::MoveEnumerator;
-use autopipe::controller::stages::{Enumerate, Score, ScoreCtx};
-use autopipe::controller::DecisionJournal;
+use autopipe::controller::stages::ScoreCtx;
+use autopipe::controller::{refine, DecisionJournal};
 use autopipe::{DecisionEvent, Scorer};
 
 /// Bytes per GiB, for human-readable memory figures in responses.
@@ -679,11 +679,11 @@ fn memory_infeasible_error(
     ]))
 }
 
-/// PipeDream seed + analytic greedy refinement, journaled round by round
-/// (the serve-side equivalent of `hill_climb`, kept explicit so candidate
-/// counts land in the journal). When a `deadline` is supplied the loop
-/// checks remaining budget between rounds and stops early rather than
-/// overrun — the partial answer is still valid, just less refined.
+/// PipeDream seed + analytic greedy refinement through the controller's
+/// [`refine`] loop, which reports its round and candidate counts. When a
+/// `deadline` is supplied the loop checks remaining budget between rounds
+/// and stops early rather than overrun — the partial answer is still
+/// valid, just less refined.
 ///
 /// After refinement the candidate is fitted to device memory: its
 /// in-flight depth is clamped to what the tightest stage holds, and if
@@ -721,34 +721,19 @@ pub fn refine_plan(
         history: &history,
         state: &state,
     };
-    let scorer = Scorer::Analytic;
-    let enumerator = MoveEnumerator::new();
     let mut current = start.clone();
     sort_stage_workers_by(&mut current, |g| state.effective_flops(g));
-    let start_pred = scorer.predict(&ctx, &current);
-    let mut current_pred = start_pred;
-    let mut rounds = 0usize;
-    let mut scored = 0usize;
-    let mut deadline_cut = false;
-    for _ in 0..req.planner.refine_rounds {
-        if deadline.is_some_and(Deadline::expired) {
-            deadline_cut = true;
-            break;
-        }
-        let candidates = enumerator.candidates(&current, &profile, &[]);
-        if candidates.is_empty() {
-            break;
-        }
-        rounds += 1;
-        scored += candidates.len();
-        match scorer.best(&ctx, candidates) {
-            Some((score, p)) if score > current_pred * (1.0 + 1e-9) => {
-                current = p;
-                current_pred = score;
-            }
-            _ => break,
-        }
-    }
+    let refined = refine(
+        &MoveEnumerator::new(),
+        &Scorer::Analytic,
+        &ctx,
+        current,
+        &[],
+        req.planner.refine_rounds,
+        || deadline.is_some_and(Deadline::expired),
+    );
+    let mut current = refined.partition;
+    let mut current_pred = refined.score;
     // Memory fit: clamp the candidate's depth to what its devices hold,
     // switching schedule when the requested one cannot fit at any depth.
     let mem_model = MemoryModel::default();
@@ -777,7 +762,7 @@ pub fn refine_plan(
         &fit_score,
     )
     .ok_or_else(|| memory_infeasible_error(&profile, &current, req.schedule, &mem_model, &state))?;
-    let mut start_pred = start_pred;
+    let mut start_pred = refined.start_score;
     if fit.switched || fit.in_flight != current.in_flight {
         current.in_flight = fit.in_flight;
         current_pred = analytic_of(&current, fit.kind);
@@ -787,7 +772,7 @@ pub fn refine_plan(
     // candidate when even depth 1 does not fit its (different) stages.
     let mut start = start;
     let seed_depth = start.in_flight;
-    if !clamp_in_flight(&profile, &mut start, fit.kind, &mem_model, &state) {
+    if clamp_in_flight(&profile, &mut start, fit.kind, &mem_model, &state).is_none() {
         start = current.clone();
     }
     if fit.switched || start.in_flight != seed_depth {
@@ -798,9 +783,9 @@ pub fn refine_plan(
         refined: current,
         start_pred,
         predicted: current_pred,
-        rounds,
-        scored,
-        deadline_cut,
+        rounds: refined.rounds,
+        scored: refined.scored,
+        deadline_cut: refined.stopped,
         schedule: fit.kind,
         schedule_switched: fit.switched,
         mem: fit.check,

@@ -35,8 +35,12 @@
 //! in-flight request before workers exit.
 //!
 //! Planning is deterministic — same request, same plan, regardless of
-//! worker count or `AP_PAR_THREADS` — because every parallel stage below
-//! it preserves order ([`ap_par::map`]).
+//! worker count or `AP_PAR_THREADS`. `/plan` refines with the analytic
+//! scorer, which prices each round's moves serially on the worker thread
+//! serving the request; the pool width only sets how many requests are
+//! planned at once. The one parallel scorer, the meta-network arm,
+//! preserves order ([`ap_par::map`]) and keeps the last of equal maxima,
+//! so it selects exactly what a serial scan would.
 
 pub mod admission;
 pub mod api;

@@ -60,7 +60,8 @@ fn moves_preserve_validity_and_workers() {
         let profile = ModelProfile::with_batch(&model, 16);
         let mut base_workers = p.all_workers();
         base_workers.sort();
-        for (kind, q) in all_moves(&p, &profile) {
+        for kind in all_moves(&p, &profile) {
+            let q = kind.apply(&p);
             assert!(q.validate(12).is_ok(), "case {case}: {kind:?}");
             let mut w = q.all_workers();
             w.sort();
@@ -174,8 +175,8 @@ fn planner_output_valid() {
         assert!(plan.n_workers() <= n, "case {case}");
         assert!(plan.in_flight >= 1, "case {case}");
         // Two-worker moves of the plan stay valid.
-        for (_, q) in two_worker_moves(&plan, 9) {
-            assert!(q.validate(9).is_ok(), "case {case}");
+        for mv in two_worker_moves(&plan, 9) {
+            assert!(mv.apply(&plan).validate(9).is_ok(), "case {case}");
         }
     }
 }

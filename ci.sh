@@ -22,6 +22,16 @@ echo "== test =="
 # blocks a merge.
 cargo test -q --offline --workspace
 
+echo "== matmul release equivalence =="
+# The equivalence suite runs in debug, where vectorized codegen differs
+# from what ships. matmul_bench asserts that the kernel and its
+# transposed-operand forms are bit-identical to the naive loop at its
+# four shapes with release codegen, before timing; its numbers go to a
+# temp file, not the committed BENCH_hotpath.json.
+mm_tmp="$(mktemp -d)"
+trap 'rm -rf "$mm_tmp"' EXIT
+cargo run --release --offline -p ap-bench --bin matmul_bench -- "$mm_tmp/BENCH_hotpath.json"
+
 echo "== benchmark build =="
 # perfbench (BENCHMARK.json's command) builds the workspace crates from
 # source as path dependencies, outside the workspace. Its unit tests
@@ -51,7 +61,7 @@ echo "== serve + resilience smoke =="
 # must be byte-identical (the planner is deterministic across thread
 # counts).
 serve_tmp="$(mktemp -d)"
-trap 'rm -rf "$serve_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$serve_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/b"
 cmp "$serve_tmp/a/serve.json" "$serve_tmp/b/serve.json"
@@ -66,11 +76,14 @@ echo "== exec smoke =="
 # numerics independent of thread timing, so the two runs' JSON must be
 # byte-identical — including the calibrated predictions and the emitted
 # calibration.json (smoke pins synthetic calibration constants, and the
-# engine's calibrated simulation is deterministic).
+# engine's calibrated simulation is deterministic). Each stage computes
+# on its own thread alone: neither ap-exec nor the serial hill-climb it
+# calls reads AP_PAR_THREADS. The AP_PAR_THREADS=1 run is kept so that a
+# fan-out added anywhere on this path cannot change the bytes unnoticed.
 # Both an async and a flush schedule replay the same IR contract, so the
 # determinism gate runs per schedule kind.
 exec_tmp="$(mktemp -d)"
-trap 'rm -rf "$serve_tmp" "$exec_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$serve_tmp" "$exec_tmp"' EXIT
 for sched in pipedream_async gpipe; do
   cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-a"
   AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-b"
@@ -90,7 +103,7 @@ echo "== cluster control-plane smoke =="
 # mid-listing, which pipefail turns into a spurious failure)
 cargo run --release --offline -p ap-bench --bin repro -- list | grep cluster-bench >/dev/null
 sched_tmp="$(mktemp -d)"
-trap 'rm -rf "$serve_tmp" "$exec_tmp" "$sched_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/b"
 cmp "$sched_tmp/a/cluster.json" "$sched_tmp/b/cluster.json"
@@ -104,7 +117,7 @@ echo "== memory-aware planning smoke =="
 # byte-identical across AP_PAR_THREADS.
 cargo run --release --offline -p ap-bench --bin repro -- list | grep mem-bench >/dev/null
 mem_tmp="$(mktemp -d)"
-trap 'rm -rf "$serve_tmp" "$exec_tmp" "$sched_tmp" "$mem_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp" "$mem_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/b"
 cmp "$mem_tmp/a/mem.json" "$mem_tmp/b/mem.json"

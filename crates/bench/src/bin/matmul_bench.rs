@@ -1,14 +1,15 @@
-//! Matmul hot-path wall-clock: naive ikj reference vs the blocked /
-//! row-parallel production kernel (`Matrix::matmul`).
+//! Matmul hot-path wall-clock: naive ikj reference vs the production
+//! kernel (`Matrix::matmul`).
 //!
 //! The exec runtime spends most of its compute in `Matrix::matmul`, so
 //! this binary measures exactly the before/after of the kernel rework:
 //! `naive` is the seed implementation (plain ikj triple loop, kept here
-//! verbatim as the reference), `blocked` is the shipped kernel — k-banded
-//! for cache reuse and fanned over row-blocks with `ap_par` above the
-//! parallel cutoff. Because the blocked kernel accumulates every output
-//! element in the same order as the naive loop, the two must agree
-//! **bit-for-bit** on every shape; this binary asserts that before timing.
+//! verbatim as the reference), `blocked` is the shipped kernel — packed
+//! panels and a register-blocked micro-kernel, on the calling thread.
+//! Because the kernel accumulates every output element in the same order
+//! as the naive loop, the two must agree **bit-for-bit** on every shape;
+//! this binary asserts that before timing, with the codegen of the build
+//! that runs it (CI runs it in release mode for exactly that reason).
 //!
 //! Results merge into the `"matmul"` key of `BENCH_hotpath.json` in the
 //! current directory (or the path given as the first argument), leaving
@@ -22,8 +23,8 @@ use std::path::PathBuf;
 
 const RUNS: usize = 9;
 
-/// The seed kernel: plain ikj with the `a == 0.0` skip, no blocking, no
-/// threads. The production kernel must reproduce its output exactly.
+/// The seed kernel: plain ikj with the `a == 0.0` skip, no blocking. The
+/// production kernel must reproduce its output exactly.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -42,6 +43,10 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.data().iter().map(|x| x.to_bits()).collect()
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -49,8 +54,8 @@ fn main() {
         .unwrap_or_else(|| PathBuf::from("BENCH_hotpath.json"));
 
     // Shapes bracketing the kernel's regimes: the exec runtime's own
-    // per-layer products (small, serial), the serial blocked sweet spot,
-    // and one comfortably above the parallel cutoff.
+    // per-layer products, the perfbench `train` layer (128³), and two
+    // whose packed right-hand side no longer fits in L1 or L2.
     let shapes: [(usize, usize, usize); 4] = [
         (32, 128, 128),
         (128, 128, 128),
@@ -58,23 +63,27 @@ fn main() {
         (512, 512, 512),
     ];
 
-    println!(
-        "matmul: naive ikj vs blocked/parallel ({} threads)",
-        ap_par::threads()
-    );
+    println!("matmul: naive ikj vs packed kernel (one thread)");
     let mut rows = Vec::new();
     for (m, k, n) in shapes {
         let a = Matrix::xavier(m, k, 11);
         let b = Matrix::xavier(k, n, 13);
 
-        // Equivalence gate: the speedup only counts if the bytes match.
+        // Equivalence gate: the speedup only counts if the bytes match,
+        // for the plain product and for the transposed-operand forms the
+        // backward passes use.
         let want = naive_matmul(&a, &b);
-        let got = a.matmul(&b);
-        assert_eq!(
-            want.data(),
-            got.data(),
-            "blocked kernel diverged from naive at {m}x{k}x{n}"
-        );
+        let forms = [
+            ("matmul", a.matmul(&b)),
+            ("t_matmul", a.transpose().t_matmul(&b)),
+            ("matmul_t", a.matmul_t(&b.transpose())),
+        ];
+        for (form, got) in forms {
+            assert!(
+                bits(&want) == bits(&got),
+                "{form} diverged from naive at {m}x{k}x{n}"
+            );
+        }
 
         let naive = timing::bench(&format!("naive/{m}x{k}x{n}"), RUNS, || {
             black_box(naive_matmul(&a, &b));
@@ -99,10 +108,7 @@ fn main() {
         ]));
     }
 
-    let doc = Json::obj(vec![
-        ("threads", Json::Num(ap_par::threads() as f64)),
-        ("shapes", Json::Arr(rows)),
-    ]);
+    let doc = Json::obj(vec![("shapes", Json::Arr(rows))]);
     merge_file_key(&out_path, "matmul", doc).expect("write BENCH_hotpath.json");
     println!("merged key \"matmul\" into {}", out_path.display());
 }

@@ -62,9 +62,9 @@ impl Linear {
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let x = self.cached_in.as_ref().expect("backward before forward");
         // dW = x^T @ grad_out ; db = column sums ; dx = grad_out @ W^T.
-        self.w.grad.add_assign(&x.transpose().matmul(grad_out));
+        self.w.grad.add_assign(&x.t_matmul(grad_out));
         self.b.grad.add_assign(&grad_out.sum_rows());
-        grad_out.matmul(&self.w.value.transpose())
+        grad_out.matmul_t(&self.w.value)
     }
 
     /// All parameters for an optimizer.

@@ -87,44 +87,40 @@ impl Matrix {
 
     /// `self @ other` (matrix product).
     ///
-    /// Register-tiled over output columns so each tile accumulates in
-    /// registers across the whole `k` loop (the naive ikj kernel instead
-    /// re-loads and re-stores the output row at every `k` step, which
-    /// makes it memory-traffic-bound), and parallelized over row-blocks
-    /// with `ap_par` once the product is large enough to amortize thread
-    /// spawns. Every output element still accumulates its `k` terms in
-    /// strictly ascending order (rows and column tiles are independent),
-    /// so the result is **bit-identical** to the naive ikj triple loop at
-    /// any thread count — the exec runtime's determinism tests rely on
-    /// this.
+    /// Every output element accumulates its `k` terms in strictly
+    /// ascending order through the same IEEE mul-then-add sequence, with
+    /// the same `a == 0.0` skip, as the naive ikj triple loop, so the
+    /// result is **bit-identical** to it; the exec runtime's determinism
+    /// tests rely on this. The product runs on the calling thread.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let elems = m.saturating_mul(k).saturating_mul(n);
-        let workers = ap_par::threads();
-        if elems >= PAR_ELEMS_CUTOFF && workers > 1 && m > 1 {
-            let n_blocks = workers.min(m);
-            let block = m.div_ceil(n_blocks);
-            let ranges: Vec<std::ops::Range<usize>> = (0..m)
-                .step_by(block)
-                .map(|lo| lo..(lo + block).min(m))
-                .collect();
-            let parts =
-                ap_par::map_eager(ranges, |r| matmul_rows(&self.data, k, &other.data, n, r));
-            let mut data = Vec::with_capacity(m * n);
-            for part in parts {
-                data.extend_from_slice(&part);
-            }
-            return Matrix {
-                rows: m,
-                cols: n,
-                data,
-            };
-        }
-        Matrix {
-            rows: m,
-            cols: n,
-            data: matmul_rows(&self.data, k, &other.data, n, 0..m),
+        product(self.operand(false), other.operand(false))
+    }
+
+    /// `selfᵀ @ other`: bit-identical to `self.transpose().matmul(other)`,
+    /// without materializing the transpose.
+    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+        product(self.operand(true), other.operand(false))
+    }
+
+    /// `self @ otherᵀ`: bit-identical to `self.matmul(&other.transpose())`,
+    /// without materializing the transpose.
+    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+        product(self.operand(false), other.operand(true))
+    }
+
+    /// This matrix, or its transpose, as a product operand.
+    fn operand(&self, transposed: bool) -> Operand<'_> {
+        let (rows, cols, rs, cs) = if transposed {
+            (self.cols, self.rows, 1, self.cols)
+        } else {
+            (self.rows, self.cols, self.cols, 1)
+        };
+        Operand {
+            data: &self.data,
+            rows,
+            cols,
+            rs,
+            cs,
         }
     }
 
@@ -238,105 +234,219 @@ impl Matrix {
     }
 }
 
-/// Products below this many `m*k*n` elements run serially: the compute
-/// is cheaper than the ~10 µs/worker a scoped spawn costs. The exec
-/// runtime's per-layer matmuls (batch ≤ 32, widths ≤ 128) stay under it
-/// on purpose — their speedup comes from the blocked kernel, not from
-/// oversubscribing stage threads.
-const PAR_ELEMS_CUTOFF: usize = 1 << 21;
+/// One `rows x cols` operand of [`product`]: element `(r, c)` is
+/// `data[r * rs + c * cs]`. A matrix read as itself has `cs == 1`; read
+/// transposed, `rs == 1`.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f64],
+    rows: usize,
+    cols: usize,
+    rs: usize,
+    cs: usize,
+}
 
-/// Output-column tile width: one tile's accumulators live in registers
-/// for the whole `k` loop (a `[f64; J_TILE]` that the autovectorizer
-/// keeps in a few SIMD registers), so the output row is written once
-/// instead of loaded and stored at every `k` step. Wider vectors fit
-/// wider tiles before spilling: 4 accumulator registers either way.
-#[cfg(target_feature = "avx512f")]
-const J_TILE: usize = 32;
-#[cfg(not(target_feature = "avx512f"))]
-const J_TILE: usize = 16;
+/// Rows of the register block: `MR` rows of `a` share every load of `b`.
+const MR: usize = 4;
 
-/// Once `b` is bigger than this, register tiling loses: each column
-/// tile walks all `k` rows of `b` with an `n * 8`-byte stride, and when
-/// `b` no longer fits in L2 those strided loads miss where the
-/// streaming kernel's sequential full-row sweeps prefetch cleanly. Past
-/// the threshold `matmul_rows` switches to the row-streaming kernel.
-const B_STREAM_BYTES: usize = 3 << 19;
+/// Columns of the register block. An `MR x NR` block is 64 accumulators:
+/// 16 256-bit registers, which the 32-register AVX-512 file holds
+/// alongside the four `b` vectors and the `a` broadcast for the whole
+/// `k` loop. (A 16-register AVX2 file cannot: slower, same bits.)
+const NR: usize = 16;
 
-/// Multiply rows `rows` of `a` (shape `? x k`) by `b` (shape `k x n`)
-/// into a fresh row-major buffer of `rows.len() * n`.
+/// Block width for a single row: one `NR`-wide row is only four
+/// accumulator chains, too few to hide the add latency.
+const WIDE: usize = 2 * NR;
+
+/// The matrix product kernel: `a` (`m x k`) times `b` (`k x n`).
 ///
-/// Each output element accumulates its `k` terms in ascending order —
-/// in a register instead of in memory, but through the identical
-/// sequence of IEEE mul-then-add operations — so the result matches the
-/// naive loop bit-for-bit. The `a == 0.0` skip is kept from the
-/// original kernel: dropping it would change NaN/infinity propagation.
-fn matmul_rows(a: &[f64], k: usize, b: &[f64], n: usize, rows: std::ops::Range<usize>) -> Vec<f64> {
-    if k * n * std::mem::size_of::<f64>() > B_STREAM_BYTES {
-        return matmul_rows_stream(a, k, b, n, rows);
+/// `b` is packed one `NR`-column panel at a time into `k` contiguous
+/// groups of `NR` values, and `a` into `k` groups of (up to) `MR` values
+/// per row block, so the micro-kernel reads both sequentially whatever
+/// the operands' layout. Each `MR x NR` output block then accumulates in
+/// registers for the whole `k` loop and is written once. `a` is read in
+/// place when its groups are already contiguous: read transposed, or a
+/// single row. A single row times a row-major `b` packs nothing at all:
+/// packing pays back only through reuse.
+///
+/// The panel loop is outermost, so a packed panel stays in L1 while every
+/// row block of `a` streams past it.
+fn product(a: Operand, b: Operand) -> Matrix {
+    assert_eq!(a.cols, b.rows, "matmul shape mismatch");
+    let (m, k, n) = (a.rows, a.cols, b.cols);
+    let mut out = Matrix::zeros(m, n);
+    if m == 0 || n == 0 || k == 0 {
+        return out;
     }
-    let mut out = vec![0.0; rows.len() * n];
-    for (ri, i) in rows.enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut out[ri * n..(ri + 1) * n];
-        let mut j = 0;
-        while j + J_TILE <= n {
-            let mut acc = [0.0f64; J_TILE];
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n + j..kk * n + j + J_TILE];
-                for t in 0..J_TILE {
-                    acc[t] += av * brow[t];
-                }
-            }
-            crow[j..j + J_TILE].copy_from_slice(&acc);
-            j += J_TILE;
+    // Whether `a` holds an exact zero, i.e. whether any term can be skipped.
+    let skip = a.data.iter().fold(false, |zero, &x| zero | (x == 0.0));
+    if m == 1 && b.cs == 1 {
+        // One row times a row-major `b`: nothing would reuse a packed
+        // panel, so every block reads `b` in place, widest first.
+        let mut j0 = 0;
+        j0 = single_row::<WIDE>(a, b, skip, &mut out.data, j0);
+        j0 = single_row::<NR>(a, b, skip, &mut out.data, j0);
+        single_row::<1>(a, b, skip, &mut out.data, j0);
+        return out;
+    }
+    let a_in_place = a.rs == 1 || m == 1;
+    let a_packed = if a_in_place {
+        Vec::new()
+    } else {
+        let mut packed = vec![0.0; m.div_ceil(MR) * MR * k];
+        for (i0, dst) in (0..m).step_by(MR).zip(packed.chunks_exact_mut(MR * k)) {
+            pack::<MR>(&a.data[i0 * a.rs..], a.rs, a.cs, (m - i0).min(MR), k, dst);
         }
-        while j < n {
-            let mut acc = 0.0;
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                acc += av * b[kk * n + j];
+        packed
+    };
+    let mut panel = vec![0.0; k * NR];
+    for j0 in (0..n).step_by(NR) {
+        let w = (n - j0).min(NR);
+        pack::<NR>(&b.data[j0 * b.cs..], b.cs, b.rs, w, k, &mut panel);
+        for i0 in (0..m).step_by(MR) {
+            let (a_block, lda) = if a_in_place {
+                (&a.data[i0 * a.rs..], a.cs)
+            } else {
+                (&a_packed[i0 * k..], MR)
+            };
+            let groups = Groups {
+                a: a_block,
+                lda,
+                b: &panel,
+                ldb: NR,
+                k,
+            };
+            let dst = &mut out.data[i0 * n + j0..];
+            match (m - i0).min(MR) {
+                1 => tile::<1, NR>(groups, skip, dst, n, w),
+                2 => tile::<2, NR>(groups, skip, dst, n, w),
+                3 => tile::<3, NR>(groups, skip, dst, n, w),
+                _ => tile::<MR, NR>(groups, skip, dst, n, w),
             }
-            crow[j] = acc;
-            j += 1;
         }
     }
     out
 }
 
-/// Large-`b` kernel: for each row of `a`, sweep whole rows of `b` in
-/// order, accumulating into the output row (which stays L1-resident —
-/// it is only `n * 8` bytes). Memory traffic over `b` is sequential, so
-/// the hardware prefetcher hides the misses that hurt the tiled kernel
-/// at this size. Accumulation order per output element is still
-/// ascending `k` with the same mul-then-add and the same `a == 0.0`
-/// skip, so the result stays bit-identical to the other kernels.
-fn matmul_rows_stream(
-    a: &[f64],
-    k: usize,
-    b: &[f64],
-    n: usize,
-    rows: std::ops::Range<usize>,
-) -> Vec<f64> {
-    let mut out = vec![0.0; rows.len() * n];
-    for (ri, i) in rows.enumerate() {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut out[ri * n..(ri + 1) * n];
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[kk * n..kk * n + n];
-            for (c, &bv) in crow.iter_mut().zip(brow) {
-                *c += av * bv;
+/// Compute the `C`-wide blocks of a single-row product from column `j0`
+/// on, reading row-major `b` in place; returns the first column left.
+fn single_row<const C: usize>(
+    a: Operand,
+    b: Operand,
+    skip: bool,
+    out: &mut [f64],
+    j0: usize,
+) -> usize {
+    let mut j = j0;
+    while j + C <= b.cols {
+        let groups = Groups {
+            a: a.data,
+            lda: a.cs,
+            b: &b.data[j..],
+            ldb: b.rs,
+            k: a.cols,
+        };
+        tile::<1, C>(groups, skip, &mut out[j..], b.cols, C);
+        j += C;
+    }
+    j
+}
+
+/// Pack a `w x k` block into `k` groups of `W`: `dst[q * W + p]` is
+/// element `(p, q)`, found at `src[p * ps + q * qs]`. Slots `w..W` of each
+/// group keep whatever they held.
+fn pack<const W: usize>(src: &[f64], ps: usize, qs: usize, w: usize, k: usize, dst: &mut [f64]) {
+    let dst = &mut dst[..k * W];
+    if ps == 1 && w == W {
+        // Each group is a contiguous run of the source: a fixed-size copy.
+        for (q, group) in dst.chunks_exact_mut(W).enumerate() {
+            group.copy_from_slice(&src[q * qs..][..W]);
+        }
+    } else {
+        for p in 0..w {
+            let line = src[p * ps..].iter().step_by(qs);
+            for (group, &v) in dst.chunks_exact_mut(W).zip(line) {
+                group[p] = v;
             }
         }
     }
-    out
+}
+
+/// The operands of one block of `R` rows and `C` columns: group `q` of
+/// `a` is `a[q * lda..][..R]` (one value per row), group `q` of `b` is
+/// `b[q * ldb..][..C]` (one per column), for `q < k`.
+#[derive(Clone, Copy)]
+struct Groups<'a> {
+    a: &'a [f64],
+    lda: usize,
+    b: &'a [f64],
+    ldb: usize,
+    k: usize,
+}
+
+/// Compute one block and write its first `w` columns to `dst`, row `r`
+/// at `dst[r * n..]`. `skip` says whether `a` holds a zero, which is when
+/// the zero-term skip can fire.
+fn tile<const R: usize, const C: usize>(
+    groups: Groups,
+    skip: bool,
+    dst: &mut [f64],
+    n: usize,
+    w: usize,
+) {
+    let mut acc = [[0.0; C]; R];
+    if skip {
+        micro::<R, C, true>(groups, &mut acc);
+    } else {
+        micro::<R, C, false>(groups, &mut acc);
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let d = &mut dst[r * n..][..w];
+        match <&mut [f64; C]>::try_from(&mut *d) {
+            Ok(full) => *full = *row,
+            Err(_) => d.copy_from_slice(&row[..w]),
+        }
+    }
+}
+
+/// The micro-kernel: `out[r][t] = Σ_q a(r, q) * b(q, t)` over the groups.
+///
+/// Each accumulator adds its `k` terms in ascending `q`, one IEEE
+/// multiply then one add per term, skipping terms whose `a` value is
+/// zero — exactly the naive ikj loop's sequence, so every element is
+/// bit-identical to it. The skip must stay (`0.0 * inf` is NaN), but it
+/// is compiled in only when `SKIP` is set: a product whose `a` holds no
+/// zero runs a loop with no branch at all.
+///
+/// The shape is chosen for codegen, which is fragile here: kept out of
+/// line, the block written through `out` once at the end, indexed loops,
+/// no branch in the `SKIP = false` loop. Returning the block by value,
+/// storing into the output matrix from here, iterator adapters or a
+/// per-row branch in the common path each made LLVM spill, shuffle or
+/// scalarize the accumulators (2-8x slower in release builds).
+#[inline(never)]
+fn micro<const R: usize, const C: usize, const SKIP: bool>(
+    groups: Groups,
+    out: &mut [[f64; C]; R],
+) {
+    let Groups { a, lda, b, ldb, k } = groups;
+    let mut acc = [[0.0; C]; R];
+    let a = &a[..(k - 1) * lda + R];
+    let b = &b[..(k - 1) * ldb + C];
+    for q in 0..k {
+        let av: &[f64; R] = a[q * lda..q * lda + R].try_into().expect("R-long slice");
+        let bv: &[f64; C] = b[q * ldb..q * ldb + C].try_into().expect("C-long slice");
+        for r in 0..R {
+            if SKIP && av[r] == 0.0 {
+                continue;
+            }
+            for t in 0..C {
+                acc[r][t] += av[r] * bv[t];
+            }
+        }
+    }
+    *out = acc;
 }
 
 #[cfg(test)]

@@ -56,35 +56,9 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    map_with_cutoff(items, f, SERIAL_CUTOFF)
-}
-
-/// Parallel map that skips the small-input serial cutoff.
-///
-/// [`map`] assumes items are cheap and plentiful (candidate partitions,
-/// training samples); a handful of items runs serially. Coarse-grained
-/// callers — matmul row-blocks, where each item is worth hundreds of
-/// microseconds — pass a few large items on purpose, so this variant
-/// parallelizes from 2 items up. The caller vouches that each item
-/// outweighs a ~10 µs spawn.
-pub fn map_eager<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    map_with_cutoff(items, f, 2)
-}
-
-fn map_with_cutoff<T, R, F>(items: Vec<T>, f: F, cutoff: usize) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
     let n = items.len();
     let workers = threads();
-    if n < cutoff || workers < 2 {
+    if n < SERIAL_CUTOFF || workers < 2 {
         return items.into_iter().map(f).collect();
     }
     // Chunked distribution: several chunks per worker so an uneven chunk
@@ -195,19 +169,6 @@ mod tests {
                 .map(|(i, _)| i)
         };
         assert_eq!(pick(&par), pick(&serial));
-    }
-
-    #[test]
-    fn map_eager_matches_serial_for_tiny_inputs() {
-        for n in [0usize, 1, 2, 3, 5, 16, 40] {
-            let items: Vec<usize> = (0..n).collect();
-            let out = map_eager(items.clone(), |x| x + 7);
-            assert_eq!(
-                out,
-                items.iter().map(|x| x + 7).collect::<Vec<_>>(),
-                "n={n}"
-            );
-        }
     }
 
     #[test]

@@ -26,11 +26,19 @@ echo "== matmul release equivalence =="
 # The equivalence suite runs in debug, where vectorized codegen differs
 # from what ships. matmul_bench asserts that the kernel and its
 # transposed-operand forms are bit-identical to the naive loop at its
-# four shapes with release codegen, before timing; its numbers go to a
-# temp file, not the committed BENCH_hotpath.json.
+# shapes with release codegen, before timing; its numbers go to a temp
+# file, not the committed BENCH_hotpath.json.
 mm_tmp="$(mktemp -d)"
 trap 'rm -rf "$mm_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin matmul_bench -- "$mm_tmp/BENCH_hotpath.json"
+
+echo "== matmul equivalence without AVX-512 =="
+# The kernel's register block is 4 rows tall where AVX-512 is enabled
+# and 2 rows tall elsewhere, so an AVX-512 host would never test the
+# 2-row build. Run the equivalence suite once more with AVX-512 off, in
+# its own target directory.
+RUSTFLAGS="-C target-cpu=native -C target-feature=-avx512f" CARGO_TARGET_DIR=target/no-avx512 \
+  cargo test -q --offline -p ap-nn --test matmul_equivalence
 
 echo "== benchmark build =="
 # perfbench (BENCHMARK.json's command) builds the workspace crates from

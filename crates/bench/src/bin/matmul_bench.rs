@@ -11,6 +11,11 @@
 //! this binary asserts that before timing, with the codegen of the build
 //! that runs it (CI runs it in release mode for exactly that reason).
 //!
+//! A second table times the single-row products the learned components
+//! run once per sample (`1 x k` rows through the meta-net, arbiter and
+//! switch-cost layers); each of those takes about a microsecond, so every
+//! timed run there is a batch of `ROW_REPS` calls.
+//!
 //! Results merge into the `"matmul"` key of `BENCH_hotpath.json` in the
 //! current directory (or the path given as the first argument), leaving
 //! other benches' keys intact.
@@ -22,6 +27,9 @@ use std::hint::black_box;
 use std::path::PathBuf;
 
 const RUNS: usize = 9;
+
+/// Calls per timed run of a single-row product.
+const ROW_REPS: usize = 2000;
 
 /// The seed kernel: plain ikj with the `a == 0.0` skip, no blocking. The
 /// production kernel must reproduce its output exactly.
@@ -108,7 +116,64 @@ fn main() {
         ]));
     }
 
-    let doc = Json::obj(vec![("shapes", Json::Arr(rows))]);
+    // (k, n) of the single-row products: the meta-net LSTM gates
+    // ((24 + 16) -> 4 * 24) and head (24 + 43 -> 64 -> 32 -> 1), the
+    // arbiter MLP (6 -> 32 -> 16 -> 2) and the switch-cost MLP's first
+    // layer (5 -> 16).
+    let row_shapes: [(usize, usize); 8] = [
+        (40, 96),
+        (67, 64),
+        (64, 32),
+        (32, 1),
+        (6, 32),
+        (32, 16),
+        (16, 2),
+        (5, 16),
+    ];
+    println!("matmul: single-row products, {ROW_REPS} calls per run");
+    let mut row_rows = Vec::new();
+    for (k, n) in row_shapes {
+        let x = Matrix::xavier(1, k, 17);
+        let w = Matrix::xavier(k, n, 19);
+        assert!(
+            bits(&naive_matmul(&x, &w)) == bits(&x.matmul(&w)),
+            "matmul diverged from naive at 1x{k}x{n}"
+        );
+        let per_call = |name: &str, f: &dyn Fn() -> Matrix| {
+            let s = timing::bench(name, RUNS, || {
+                for _ in 0..ROW_REPS {
+                    black_box(f());
+                }
+            });
+            println!("{}", s.report());
+            s.median / ROW_REPS as f64
+        };
+        let naive = per_call(&format!("naive/1x{k}x{n}"), &|| {
+            naive_matmul(black_box(&x), &w)
+        });
+        let blocked = per_call(&format!("blocked/1x{k}x{n}"), &|| black_box(&x).matmul(&w));
+        println!(
+            "   per call {:.1} ns vs {:.1} ns\n",
+            naive * 1e9,
+            blocked * 1e9
+        );
+        row_rows.push(Json::obj(vec![
+            ("m", Json::Num(1.0)),
+            ("k", Json::Num(k as f64)),
+            ("n", Json::Num(n as f64)),
+            ("runs", Json::Num(RUNS as f64)),
+            ("calls_per_run", Json::Num(ROW_REPS as f64)),
+            ("naive_median_s", Json::Num(naive)),
+            ("blocked_median_s", Json::Num(blocked)),
+            ("speedup", Json::Num(naive / blocked)),
+            ("bit_identical", Json::Bool(true)),
+        ]));
+    }
+
+    let doc = Json::obj(vec![
+        ("shapes", Json::Arr(rows)),
+        ("single_row", Json::Arr(row_rows)),
+    ]);
     merge_file_key(&out_path, "matmul", doc).expect("write BENCH_hotpath.json");
     println!("merged key \"matmul\" into {}", out_path.display());
 }

@@ -247,12 +247,17 @@ struct Operand<'a> {
 }
 
 /// Rows of the register block: `MR` rows of `a` share every load of `b`.
+/// The `MR x NR` accumulators must stay in registers for the whole `k`
+/// loop. 4 x 16 is 16 256-bit registers, which the 32-register AVX-512
+/// file holds alongside the `b` operand and the `a` broadcast; a
+/// 16-register AVX2 file spills it, and holds 2 x 16. The bits are the
+/// same either way.
+#[cfg(target_feature = "avx512f")]
 const MR: usize = 4;
+#[cfg(not(target_feature = "avx512f"))]
+const MR: usize = 2;
 
-/// Columns of the register block. An `MR x NR` block is 64 accumulators:
-/// 16 256-bit registers, which the 32-register AVX-512 file holds
-/// alongside the four `b` vectors and the `a` broadcast for the whole
-/// `k` loop. (A 16-register AVX2 file cannot: slower, same bits.)
+/// Columns of the register block.
 const NR: usize = 16;
 
 /// Block width for a single row: one `NR`-wide row is only four
@@ -265,10 +270,10 @@ const WIDE: usize = 2 * NR;
 /// groups of `NR` values, and `a` into `k` groups of (up to) `MR` values
 /// per row block, so the micro-kernel reads both sequentially whatever
 /// the operands' layout. Each `MR x NR` output block then accumulates in
-/// registers for the whole `k` loop and is written once. `a` is read in
-/// place when its groups are already contiguous: read transposed, or a
-/// single row. A single row times a row-major `b` packs nothing at all:
-/// packing pays back only through reuse.
+/// registers for the whole `k` loop and is written once. `a` read
+/// transposed is read in place: its groups are already contiguous. A
+/// single row times a row-major `b` packs nothing at all: packing pays
+/// back only through reuse.
 ///
 /// The panel loop is outermost, so a packed panel stays in L1 while every
 /// row block of `a` streams past it.
@@ -290,7 +295,7 @@ fn product(a: Operand, b: Operand) -> Matrix {
         single_row::<1>(a, b, skip, &mut out.data, j0);
         return out;
     }
-    let a_in_place = a.rs == 1 || m == 1;
+    let a_in_place = a.rs == 1;
     let a_packed = if a_in_place {
         Vec::new()
     } else {
@@ -318,6 +323,7 @@ fn product(a: Operand, b: Operand) -> Matrix {
                 k,
             };
             let dst = &mut out.data[i0 * n + j0..];
+            // Arms wider than `MR` never match.
             match (m - i0).min(MR) {
                 1 => tile::<1, NR>(groups, skip, dst, n, w),
                 2 => tile::<2, NR>(groups, skip, dst, n, w),
@@ -355,7 +361,9 @@ fn single_row<const C: usize>(
 
 /// Pack a `w x k` block into `k` groups of `W`: `dst[q * W + p]` is
 /// element `(p, q)`, found at `src[p * ps + q * qs]`. Slots `w..W` of each
-/// group keep whatever they held.
+/// group keep whatever they held. Only `b` panels take the contiguous-copy
+/// path: `a` is packed only when `a.rs != 1`, so its groups never are
+/// contiguous runs.
 fn pack<const W: usize>(src: &[f64], ps: usize, qs: usize, w: usize, k: usize, dst: &mut [f64]) {
     let dst = &mut dst[..k * W];
     if ps == 1 && w == W {

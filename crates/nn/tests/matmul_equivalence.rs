@@ -2,7 +2,7 @@
 //! **bit-identical** to the naive ikj triple loop: the exec runtime's
 //! sequential-SGD and cross-thread determinism guarantees are built on
 //! every stage computing the exact same bits regardless of kernel
-//! blocking or operand layout.
+//! blocking, operand layout or `AP_PAR_THREADS`.
 
 use ap_nn::activation::sigmoid;
 use ap_nn::{Linear, Lstm, Matrix};
@@ -72,11 +72,73 @@ const SHAPES: &[(usize, usize, usize)] = &[
 ];
 
 #[test]
-fn packed_matmul_bit_identical_to_naive_across_odd_shapes() {
+fn blocked_matmul_bit_identical_to_naive_across_odd_shapes() {
     for &(m, k, n) in SHAPES {
         let a = Matrix::xavier(m, k, 0xA5A5 + m as u64);
         let b = Matrix::xavier(k, n, 0x5A5A + n as u64);
         assert_all_forms(&a, &b, &format!("{m}x{k}x{n}"));
+    }
+}
+
+fn digest(m: &Matrix) -> u64 {
+    // FNV-1a over the exact bit patterns.
+    let mut h: u64 = 0xcbf29ce484222325;
+    for v in m.data() {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+fn child_digest() -> u64 {
+    // Big enough that a thread fan-out inside the kernel, should one ever
+    // return, would split it at every thread count > 1.
+    let a = Matrix::xavier(160, 161, 1);
+    let b = Matrix::xavier(161, 87, 2);
+    digest(&a.matmul(&b))
+}
+
+/// `AP_PAR_THREADS` is latched once per process, so covering several
+/// values requires re-executing this test binary as a child with the
+/// variable set; each child prints its result digest and the parent
+/// asserts they all agree (and match the in-process value).
+#[test]
+fn matmul_digest_stable_across_thread_counts() {
+    if std::env::var("AP_MATMUL_CHILD").is_ok() {
+        println!("matmul-digest={:016x}", child_digest());
+        return;
+    }
+    let here = child_digest();
+    let exe = std::env::current_exe().expect("test binary path");
+    for threads in ["1", "2", "3", "16"] {
+        let out = std::process::Command::new(&exe)
+            .args([
+                "--exact",
+                "matmul_digest_stable_across_thread_counts",
+                "--nocapture",
+            ])
+            .env("AP_MATMUL_CHILD", "1")
+            .env("AP_PAR_THREADS", threads)
+            .output()
+            .expect("spawn child test");
+        assert!(out.status.success(), "child failed for {threads} threads");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // libtest may glue the println onto its own "test ..." line, so
+        // search within lines rather than anchoring at the start.
+        let got = stdout
+            .lines()
+            .find_map(|l| l.split("matmul-digest=").nth(1))
+            .map(|rest| rest.split_whitespace().next().unwrap_or(""))
+            .unwrap_or_else(|| {
+                panic!(
+                    "no digest line in child output.\nstdout:\n{stdout}\nstderr:\n{}",
+                    String::from_utf8_lossy(&out.stderr)
+                )
+            });
+        let got = u64::from_str_radix(got.trim(), 16).expect("hex digest");
+        assert_eq!(got, here, "AP_PAR_THREADS={threads} changed matmul bits");
     }
 }
 

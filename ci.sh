@@ -55,6 +55,23 @@ echo "== chaos drill =="
 # AutoPipe fails to keep completing work through a scored outage.
 cargo run --release --offline -p ap-bench --bin repro -- chaos --smoke
 
+echo "== committed results regenerate =="
+# repro_out/ is the repository's claim to reproduce the paper, so every
+# deterministic figure must regenerate byte for byte. fig12 records
+# wall-clock time and is left out; so is ablations.json, whose committed
+# values no longer match a regeneration (ROADMAP item 2). The full chaos
+# run also writes BENCH_chaos.json into its working directory, so it runs
+# in the temp dir and that file is compared too.
+cargo build --release --offline -p ap-bench --bin repro
+repro="$PWD/target/release/repro"
+repro_tmp="$(mktemp -d)"
+trap 'rm -rf "$mm_tmp" "$repro_tmp"' EXIT
+for fig in fig2 fig3 fig4 fig5 fig6 fig8 fig9 fig10 fig11 fig13 multijob chaos; do
+  (cd "$repro_tmp" && "$repro" "$fig" --json . >/dev/null)
+  cmp "$repro_tmp/$fig.json" "repro_out/$fig.json"
+done
+cmp "$repro_tmp/BENCH_chaos.json" BENCH_chaos.json
+
 echo "== serve + resilience smoke =="
 # Serving-layer smoke: spawns the ap-serve daemon on an ephemeral port and
 # drives every endpoint — plan + cache hit, invalidation, simulate,
@@ -69,7 +86,7 @@ echo "== serve + resilience smoke =="
 # must be byte-identical (the planner is deterministic across thread
 # counts).
 serve_tmp="$(mktemp -d)"
-trap 'rm -rf "$mm_tmp" "$serve_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$serve_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/b"
 cmp "$serve_tmp/a/serve.json" "$serve_tmp/b/serve.json"
@@ -91,7 +108,7 @@ echo "== exec smoke =="
 # Both an async and a flush schedule replay the same IR contract, so the
 # determinism gate runs per schedule kind.
 exec_tmp="$(mktemp -d)"
-trap 'rm -rf "$mm_tmp" "$serve_tmp" "$exec_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$serve_tmp" "$exec_tmp"' EXIT
 for sched in pipedream_async gpipe; do
   cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-a"
   AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-b"
@@ -111,7 +128,7 @@ echo "== cluster control-plane smoke =="
 # mid-listing, which pipefail turns into a spurious failure)
 cargo run --release --offline -p ap-bench --bin repro -- list | grep cluster-bench >/dev/null
 sched_tmp="$(mktemp -d)"
-trap 'rm -rf "$mm_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/b"
 cmp "$sched_tmp/a/cluster.json" "$sched_tmp/b/cluster.json"
@@ -125,7 +142,7 @@ echo "== memory-aware planning smoke =="
 # byte-identical across AP_PAR_THREADS.
 cargo run --release --offline -p ap-bench --bin repro -- list | grep mem-bench >/dev/null
 mem_tmp="$(mktemp -d)"
-trap 'rm -rf "$mm_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp" "$mem_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp" "$mem_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/b"
 cmp "$mem_tmp/a/mem.json" "$mem_tmp/b/mem.json"

@@ -10,7 +10,7 @@
 //!   only the FC head. Static Table-1 metrics are memoized per distinct
 //!   worker count.
 //! * `hoisted_parallel` — the production path itself: the controller's
-//!   [`Score`] stage (`Scorer::best`), which hoists the LSTM encoding and
+//!   scoring stage ([`Scorer::best`]), which hoists the LSTM encoding and
 //!   fans the per-candidate head across the in-tree `ap_par` worker pool.
 //!
 //! Results (median of N runs) are written to `BENCH_scoring.json` in the
@@ -20,9 +20,9 @@ use ap_bench::json::Json;
 use ap_bench::timing;
 use ap_cluster::{gbps, ClusterState, ClusterTopology, GpuId};
 use ap_models::{alexnet, resnet50, vgg16, ModelProfile};
-use ap_pipesim::{Framework, Partition, ScheduleKind, SyncScheme};
+use ap_pipesim::{AnalyticModel, Framework, Partition, ScheduleKind, SyncScheme};
 use ap_planner::{pipedream_plan, two_worker_moves, PipeDreamView};
-use autopipe::controller::{Score, ScoreCtx};
+use autopipe::controller::ScoreCtx;
 use autopipe::metrics::{
     static_metrics_from_profile, FeatureEncoder, ProfilingMetrics, DYNAMIC_DIM,
 };
@@ -101,18 +101,20 @@ fn main() {
         });
         hoisted.report();
 
-        // Production path: the controller's Score stage (hoisted encoding
+        // Production path: the controller's scoring stage (hoisted encoding
         // + ap_par fan-out inside `Scorer::best`). Building the candidates
         // from their moves is part of the measured cost, exactly as in a
         // live decision round.
         let history: VecDeque<Vec<f64>> = dyn_seq.iter().cloned().collect();
         let state = ClusterState::new(ClusterTopology::paper_testbed(25.0));
         let ctx = ScoreCtx {
-            profile: &profile,
-            scheme: SyncScheme::RingAllReduce,
-            framework: Framework::pytorch(),
-            schedule: ScheduleKind::PipeDreamAsync,
-            calibration: None,
+            model: AnalyticModel {
+                profile: &profile,
+                scheme: SyncScheme::RingAllReduce,
+                framework: Framework::pytorch(),
+                schedule: ScheduleKind::PipeDreamAsync,
+                calibration: None,
+            },
             history: &history,
             state: &state,
         };

@@ -1,7 +1,8 @@
 //! Tuning knobs of the decision pipeline.
 
 use ap_cluster::DetectorConfig;
-use ap_pipesim::{Calibration, Framework, ScheduleKind, SyncScheme};
+use ap_models::ModelProfile;
+use ap_pipesim::{AnalyticModel, Calibration, Framework, ScheduleKind, SyncScheme};
 
 use super::switch::SwitchMode;
 
@@ -32,13 +33,27 @@ pub struct AutoPipeConfig {
     /// configuration with fewer pipeline disturbances).
     pub moves_per_decision: usize,
     /// Emergency-repair attempts allowed per fault episode before the
-    /// controller gives up (see [`super::retry::RetryPolicy`]).
+    /// controller gives up (paced by an [`ap_resilience::Retry`]).
     pub retry_max_attempts: u32,
     /// Base backoff between repair attempts, sim-seconds (doubles per
-    /// attempt, jittered).
+    /// attempt, jittered; a negative value means no backoff).
     pub retry_base_delay_seconds: f64,
     /// RNG seed.
     pub seed: u64,
+}
+
+impl AutoPipeConfig {
+    /// The analytic model of `profile` under this configuration's
+    /// modeling knobs (sync scheme, framework, schedule, calibration).
+    pub fn model<'a>(&self, profile: &'a ModelProfile) -> AnalyticModel<'a> {
+        AnalyticModel {
+            profile,
+            scheme: self.scheme,
+            framework: self.framework,
+            schedule: self.schedule,
+            calibration: self.calibration,
+        }
+    }
 }
 
 impl Default for AutoPipeConfig {

@@ -1,9 +1,9 @@
-//! Default [`Detect`] stage: the persistence-filtered resource-change
-//! detector, resized on worker evictions.
+//! The detection stage (§4.1's resource changing detector): the
+//! persistence-filtered resource-change detector, resized on worker
+//! evictions.
 
 use ap_cluster::{ChangeKind, DetectorConfig, ResourceChange, ResourceChangeDetector};
 
-use super::stages::Detect;
 use crate::metrics::ProfilingMetrics;
 
 /// Wraps [`ResourceChangeDetector`], rebuilding it when the observation
@@ -24,21 +24,22 @@ impl ChangeMonitor {
             width: n_workers,
         }
     }
-}
 
-impl Detect for ChangeMonitor {
-    fn detect(&mut self, metrics: &ProfilingMetrics, computes: &[f64]) -> Vec<ResourceChange> {
+    /// Feed one observation; returns the changes confirmed at this point.
+    pub fn detect(&mut self, metrics: &ProfilingMetrics, computes: &[f64]) -> Vec<ResourceChange> {
         self.detector.observe(&metrics.bandwidth, computes)
     }
 
-    fn resize(&mut self, n_workers: usize) {
+    /// Adapt to a new observation width (worker evictions/additions).
+    pub fn resize(&mut self, n_workers: usize) {
         if n_workers != self.width {
             self.detector = ResourceChangeDetector::new(n_workers, self.cfg.clone());
             self.width = n_workers;
         }
     }
 
-    fn reset(&mut self) {
+    /// Re-baseline after a switch (the old readings no longer apply).
+    pub fn reset(&mut self) {
         self.detector.reset();
     }
 }

@@ -1,4 +1,4 @@
-//! Default [`Enumerate`] stage: the planner's two-worker neighborhood,
+//! The enumeration stage (§4.2): the planner's two-worker neighborhood,
 //! extended with eviction moves for degraded workers and filtered against
 //! the controller's blacklist of candidates that measured worse after
 //! being applied.
@@ -7,8 +7,6 @@ use ap_cluster::GpuId;
 use ap_models::ModelProfile;
 use ap_pipesim::Partition;
 use ap_planner::{all_moves, drop_moves, MoveKind};
-
-use super::stages::Enumerate;
 
 /// Reverted candidates remembered (and never re-proposed).
 const REJECTED_CAP: usize = 16;
@@ -40,10 +38,11 @@ impl MoveEnumerator {
     pub fn rejected(&self) -> &[Partition] {
         &self.rejected
     }
-}
 
-impl Enumerate for MoveEnumerator {
-    fn candidates(
+    /// Moves that reach a candidate from `base` in one step, in a fixed
+    /// order. `degraded` lists workers eligible for eviction; the
+    /// neighborhood is extended with the drop moves that shed them.
+    pub fn candidates(
         &self,
         base: &Partition,
         profile: &ModelProfile,

@@ -1,7 +1,7 @@
 //! The AutoPipe control loop as a staged decision pipeline.
 //!
-//! Every `check_every` iterations the controller walks an explicit stage
-//! pipeline (the traits in [`stages`]):
+//! Every `check_every` iterations the controller walks the stages in
+//! order:
 //!
 //! ```text
 //! Verify ──▶ Observe ──▶ Detect ──▶ Enumerate ──▶ Score ──▶ Arbitrate ──▶ Switch
@@ -19,6 +19,11 @@
 //! stop-and-restart, for ablation) and later verified against their
 //! measured reward.
 //!
+//! Each stage is one plain type in its own submodule, called directly:
+//! [`RewardVerifier`], [`ProfilerObserver`], [`ChangeMonitor`],
+//! [`MoveEnumerator`], [`Scorer`], [`ArbiterMode::decide`] and
+//! [`SwitchExecutor`].
+//!
 //! Every stage appends typed events to a [`DecisionJournal`] — the audit
 //! trail of what was observed, proposed, priced, approved and verified —
 //! which can be merged with the engine's worker timeline into one chrome
@@ -28,7 +33,6 @@
 //! either a static plan (the PipeDream baseline of Figures 9/10) or a
 //! live controller, producing the paper's speed-vs-iteration curves.
 
-pub mod arbitrate;
 pub mod config;
 pub mod detect;
 pub mod enumerate;
@@ -36,20 +40,21 @@ pub mod journal;
 pub mod observe;
 pub mod optimize;
 pub mod pretrain;
-pub mod retry;
 pub mod scenario;
 pub mod score;
-pub mod stages;
 pub mod switch;
 pub mod verify;
 
 #[cfg(test)]
 mod tests;
 
+use std::time::Duration;
+
 use ap_cluster::{ClusterState, GpuId};
 use ap_models::ModelProfile;
-use ap_pipesim::{Partition, PartitionError};
+use ap_pipesim::{Partition, PartitionError, SwitchPlan};
 use ap_planner::MoveKind;
+use ap_resilience::{Retry, RetryConfig};
 
 use crate::arbiter::{ArbiterInput, ArbiterMode};
 
@@ -61,22 +66,33 @@ pub use journal::{DecisionEvent, DecisionJournal, DecisionRecord, KeepReason};
 pub use observe::ProfilerObserver;
 pub use optimize::{hill_climb, refine, HillClimbPlanner, Refined};
 pub use pretrain::pretrain_meta_net;
-pub use retry::RetryPolicy;
 pub use scenario::{run_dynamic_scenario, run_dynamic_scenario_traced, ScenarioResult};
-pub use score::Scorer;
-pub use stages::{
-    Arbitrate, Decision, Detect, Enumerate, Observe, PendingSwitch, Score, ScoreCtx, Switch,
-    Verdict, Verify,
-};
+pub use score::{ScoreCtx, Scorer};
 pub use switch::{SwitchExecutor, SwitchMode};
-pub use verify::RewardVerifier;
+pub use verify::{PendingSwitch, RewardVerifier, Verdict};
 
 /// Workers measured below this fraction of the fastest are treated as
 /// failed or severely degraded (eviction-eligible, standing change).
 const DEGRADED_SPEED_FRACTION: f64 = 0.35;
 
-/// The AutoPipe controller for one training job: a thin composition of
-/// the default stage implementations, stepped once per decision point.
+/// The controller's verdict for one decision point.
+#[derive(Debug, Clone)]
+pub enum Decision {
+    /// Keep the current partition.
+    Keep,
+    /// Apply `partition`, paying `pause_seconds` of pipeline disturbance.
+    Switch {
+        /// The new partition.
+        partition: Partition,
+        /// Pipeline pause charged at the switch point (the refill after a
+        /// stop-restart switch is simulated by the engine itself and not
+        /// included here).
+        pause_seconds: f64,
+    },
+}
+
+/// The AutoPipe controller for one training job: one value per stage,
+/// stepped once per decision point.
 pub struct AutoPipeController<'a> {
     profile: &'a ModelProfile,
     /// Current partition (updated on approved switches).
@@ -91,8 +107,9 @@ pub struct AutoPipeController<'a> {
     verifier: RewardVerifier,
     /// The audit trail of every decision point.
     pub journal: DecisionJournal,
-    /// Paces emergency-repair attempts (bounded, backed off, seeded).
-    retry: retry::RetryPolicy,
+    /// Paces emergency-repair attempts (bounded, backed off, seeded), on
+    /// a clock that reads simulated seconds.
+    retry: Retry,
     /// Whether this fault episode's exhaustion was already journaled.
     retry_exhausted_logged: bool,
     /// A fault episode ended (worker recovered) before any repair switch
@@ -119,6 +136,8 @@ impl<'a> AutoPipeController<'a> {
     ) -> Result<Self, PartitionError> {
         initial.validate(profile.n_layers())?;
         let n_workers = initial.n_workers();
+        // `Duration::from_secs_f64` rejects negative seconds.
+        let base_delay = cfg.retry_base_delay_seconds.max(0.0);
         Ok(AutoPipeController {
             profile,
             partition: initial,
@@ -127,10 +146,12 @@ impl<'a> AutoPipeController<'a> {
             enumerator: MoveEnumerator::new(),
             switcher: SwitchExecutor::new(cfg.switch_mode),
             verifier: RewardVerifier::new(),
-            retry: retry::RetryPolicy::new(
-                cfg.retry_max_attempts,
-                cfg.retry_base_delay_seconds,
-                cfg.retry_base_delay_seconds.max(1e-3) * 64.0,
+            retry: Retry::new(
+                RetryConfig {
+                    max_attempts: cfg.retry_max_attempts,
+                    base_delay: Duration::from_secs_f64(base_delay),
+                    max_delay: Duration::from_secs_f64(base_delay.max(1e-3) * 64.0),
+                },
                 cfg.seed ^ 0x5e7f,
             ),
             retry_exhausted_logged: false,
@@ -243,7 +264,8 @@ impl<'a> AutoPipeController<'a> {
                 *reinstate_pending = true;
                 return Decision::Keep;
             }
-            if !retry.ready(now) {
+            let sim_now = Duration::from_secs_f64(now);
+            if !retry.ready(sim_now) {
                 journal.record(
                     decision,
                     iteration,
@@ -255,25 +277,21 @@ impl<'a> AutoPipeController<'a> {
                 *reinstate_pending = true;
                 return Decision::Keep;
             }
-            let attempt = retry.attempt(now);
+            let attempt = retry.attempt(sim_now);
             journal.record(
                 decision,
                 iteration,
                 now,
                 DecisionEvent::RetryScheduled {
                     attempt,
-                    not_before: retry.next_allowed(),
+                    not_before: retry.next_allowed().as_secs_f64(),
                 },
             );
             // Greedy evacuation: chain the incremental moves (merges make
             // a sole dead replica droppable) that shed the most failed
             // workers, score breaking ties, until none remain.
             let ctx = ScoreCtx {
-                profile,
-                scheme: cfg.scheme,
-                framework: cfg.framework,
-                schedule: cfg.schedule,
-                calibration: cfg.calibration,
+                model: cfg.model(profile),
                 history: observer.history(),
                 state,
             };
@@ -328,7 +346,7 @@ impl<'a> AutoPipeController<'a> {
                 }
                 best = Partition::single_stage(profile.n_layers(), survivors);
             }
-            let plan = switcher.plan(partition, &best, profile, cfg.schedule);
+            let plan = SwitchPlan::between(partition, &best, profile, cfg.schedule);
             let pred = scorer.predict(&ctx, &best).max(1e-9);
             let iter_time = profile.batch as f64 / pred;
             let pause = switcher.pause_seconds(&plan, iter_time, partition, state);
@@ -402,11 +420,7 @@ impl<'a> AutoPipeController<'a> {
         // once the pipeline has had time to settle.
         let verdict = {
             let ctx = ScoreCtx {
-                profile,
-                scheme: cfg.scheme,
-                framework: cfg.framework,
-                schedule: cfg.schedule,
-                calibration: cfg.calibration,
+                model: cfg.model(profile),
                 history: observer.history(),
                 state,
             };
@@ -503,11 +517,7 @@ impl<'a> AutoPipeController<'a> {
         // best-scoring candidate; previously punished candidates are
         // never re-proposed.
         let ctx = ScoreCtx {
-            profile,
-            scheme: cfg.scheme,
-            framework: cfg.framework,
-            schedule: cfg.schedule,
-            calibration: cfg.calibration,
+            model: cfg.model(profile),
             history: observer.history(),
             state,
         };
@@ -558,7 +568,7 @@ impl<'a> AutoPipeController<'a> {
         let best = &best;
 
         // — Arbitrate: price the switch and ask for a ruling.
-        let plan = switcher.plan(partition, best, profile, cfg.schedule);
+        let plan = SwitchPlan::between(partition, best, profile, cfg.schedule);
         let iter_time = profile.batch as f64 / current_speed.max(1e-9);
         let cost = switcher.predict_cost(&plan, iter_time, partition, state);
         let mean_bw =
@@ -571,7 +581,7 @@ impl<'a> AutoPipeController<'a> {
             horizon_iterations: cfg.horizon_iterations,
             mean_bandwidth_norm: mean_bw,
         };
-        let approved = arbiter.arbitrate(&input);
+        let approved = arbiter.decide(&input);
         journal.record(
             decision,
             iteration,

@@ -1,5 +1,5 @@
-//! Default [`Observe`] stage: the noisy profiler plus the encoded
-//! observation history the meta-network consumes.
+//! The observation stage (Table 1 metrics, §4.1): the noisy profiler
+//! plus the encoded observation history the meta-network consumes.
 
 use std::collections::VecDeque;
 
@@ -7,7 +7,6 @@ use ap_cluster::{ClusterState, GpuId};
 use ap_models::ModelProfile;
 use ap_pipesim::Partition;
 
-use super::stages::Observe;
 use crate::metrics::{FeatureEncoder, ProfilingMetrics};
 use crate::profiler::Profiler;
 
@@ -40,10 +39,10 @@ impl ProfilerObserver {
             self.history.pop_front();
         }
     }
-}
 
-impl Observe for ProfilerObserver {
-    fn observe(
+    /// Take one profiling measurement over `workers` and fold the encoded
+    /// dynamic features into the history.
+    pub fn observe(
         &mut self,
         workers: &[GpuId],
         state: &ClusterState,
@@ -55,7 +54,8 @@ impl Observe for ProfilerObserver {
         metrics
     }
 
-    fn history(&self) -> &VecDeque<Vec<f64>> {
+    /// Recent dynamic observations, oldest first.
+    pub fn history(&self) -> &VecDeque<Vec<f64>> {
         &self.history
     }
 }

@@ -1,7 +1,7 @@
-//! Steady-state optimization built from the [`Enumerate`] and [`Score`]
-//! stages: the greedy refinement loop shared by the live controller, the
-//! static planners and the multi-job best-response dynamics
-//! ([`HillClimbPlanner`]).
+//! Steady-state optimization built from the [`MoveEnumerator`] and
+//! [`Scorer`] stages: the greedy refinement loop shared by the live
+//! controller, the static planners and the multi-job best-response
+//! dynamics ([`HillClimbPlanner`]).
 
 use std::collections::VecDeque;
 
@@ -12,8 +12,7 @@ use ap_planner::sort_stage_workers_by;
 use ap_sched::tenancy::{MultiJobEnv, ProposePlan};
 
 use super::enumerate::MoveEnumerator;
-use super::score::Scorer;
-use super::stages::{Enumerate, Score, ScoreCtx};
+use super::score::{ScoreCtx, Scorer};
 
 /// What a greedy refinement found.
 #[derive(Debug, Clone)]
@@ -34,13 +33,13 @@ pub struct Refined {
 
 /// Greedy refinement, the one loop every planner runs: chain incremental
 /// moves from `start`, each round scoring the whole neighborhood
-/// (`degraded` as in [`Enumerate::candidates`]) and building only the
+/// (`degraded` as in [`MoveEnumerator::candidates`]) and building only the
 /// best move, until no candidate beats the incumbent (beyond float
 /// noise), `max_rounds` is exhausted, or `stop` returns true before a
 /// round (a planning deadline).
-pub fn refine<E: Enumerate, S: Score>(
-    enumerator: &E,
-    scorer: &S,
+pub fn refine(
+    enumerator: &MoveEnumerator,
+    scorer: &Scorer,
     ctx: &ScoreCtx<'_>,
     start: Partition,
     degraded: &[GpuId],
@@ -61,7 +60,7 @@ pub fn refine<E: Enumerate, S: Score>(
             out.stopped = true;
             break;
         }
-        let moves = enumerator.candidates(&out.partition, ctx.profile, degraded);
+        let moves = enumerator.candidates(&out.partition, ctx.model.profile, degraded);
         if moves.is_empty() {
             break;
         }
@@ -94,11 +93,7 @@ pub fn hill_climb(
     sort_stage_workers_by(&mut current, |g| state.effective_flops(g));
     let history = VecDeque::new();
     let ctx = ScoreCtx {
-        profile: model.profile,
-        scheme: model.scheme,
-        framework: model.framework,
-        schedule: model.schedule,
-        calibration: model.calibration,
+        model: *model,
         history: &history,
         state,
     };

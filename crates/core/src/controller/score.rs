@@ -1,12 +1,28 @@
-//! Default [`Score`] stage: the learned meta-network or the analytic
-//! model.
+//! The scoring stage: the learned meta-network or the analytic model
+//! predicts candidate throughput (§4.3).
 
+use std::collections::VecDeque;
+
+use ap_cluster::ClusterState;
 use ap_pipesim::{AnalyticModel, Partition};
 use ap_planner::MoveKind;
 
-use super::stages::{Score, ScoreCtx};
 use crate::meta_net::MetaNet;
 use crate::metrics::{static_metrics_from_profile, FeatureEncoder, ProfilingMetrics};
+
+/// Everything a scorer needs to evaluate a candidate partition: the
+/// analytic model of the job (profile, sync scheme, framework, schedule,
+/// calibration), the recent observation history (for learned scorers)
+/// and the current cluster state (for analytic ones).
+pub struct ScoreCtx<'a> {
+    /// The job's analytic model.
+    pub model: AnalyticModel<'a>,
+    /// Recent dynamic observations, oldest first (the meta-network's LSTM
+    /// input; ignored by the analytic scorer).
+    pub history: &'a VecDeque<Vec<f64>>,
+    /// Current cluster state.
+    pub state: &'a ClusterState,
+}
 
 /// What scores candidate partitions.
 pub enum Scorer {
@@ -18,24 +34,14 @@ pub enum Scorer {
     Analytic,
 }
 
-fn analytic<'a>(ctx: &ScoreCtx<'a>) -> AnalyticModel<'a> {
-    AnalyticModel {
-        profile: ctx.profile,
-        scheme: ctx.scheme,
-        framework: ctx.framework,
-        schedule: ctx.schedule,
-        calibration: ctx.calibration,
-    }
-}
-
-impl Score for Scorer {
-    /// Score a candidate's throughput (samples/sec).
-    fn predict(&self, ctx: &ScoreCtx<'_>, candidate: &Partition) -> f64 {
+impl Scorer {
+    /// Predicted throughput (samples/sec) of one candidate.
+    pub fn predict(&self, ctx: &ScoreCtx<'_>, candidate: &Partition) -> f64 {
         match self {
-            Scorer::Analytic => analytic(ctx).throughput(candidate, ctx.state),
+            Scorer::Analytic => ctx.model.throughput(candidate, ctx.state),
             Scorer::MetaNet(net) => {
                 let seq: Vec<Vec<f64>> = ctx.history.iter().cloned().collect();
-                let m = static_metrics_from_profile(ctx.profile, candidate.n_workers());
+                let m = static_metrics_from_profile(ctx.model.profile, candidate.n_workers());
                 // Candidate encodings only need static Table-1 fields.
                 let stat = FeatureEncoder.encode_static(&m, candidate);
                 net.predict_throughput(&seq, &stat)
@@ -44,6 +50,11 @@ impl Score for Scorer {
     }
 
     /// Score every move from `base` and return the best `(speed, move)`.
+    /// Implementations may hoist candidate-independent work out of the
+    /// per-move loop and need not build every candidate, but must select
+    /// exactly the move a serial `max_by(total_cmp)` over
+    /// [`Scorer::predict`] of each built candidate in input order would:
+    /// the last of the highest-scoring moves, with its score to the bit.
     ///
     /// This is the hot path of a decision round — O(L²) candidates:
     ///
@@ -63,7 +74,7 @@ impl Score for Scorer {
     /// Both arms end in a `max_by(total_cmp)` over scores in input order,
     /// so the selected move is the last of the highest scores, exactly as
     /// a serial scan over built candidates picks it.
-    fn best(
+    pub fn best(
         &self,
         ctx: &ScoreCtx<'_>,
         base: &Partition,
@@ -71,11 +82,10 @@ impl Score for Scorer {
     ) -> Option<(f64, MoveKind)> {
         match self {
             Scorer::Analytic => {
-                let model = analytic(ctx);
-                let table = model.table(base, ctx.state);
+                let table = ctx.model.table(base, ctx.state);
                 moves
                     .iter()
-                    .map(|&mv| (mv.throughput(&model, &table, base, ctx.state), mv))
+                    .map(|&mv| (mv.throughput(&ctx.model, &table, base, ctx.state), mv))
                     .max_by(|a, b| a.0.total_cmp(&b.0))
             }
             Scorer::MetaNet(net) => {
@@ -87,7 +97,8 @@ impl Score for Scorer {
                 for (_, p) in &candidates {
                     let n = p.n_workers();
                     if !static_by_workers.iter().any(|&(k, _)| k == n) {
-                        static_by_workers.push((n, static_metrics_from_profile(ctx.profile, n)));
+                        static_by_workers
+                            .push((n, static_metrics_from_profile(ctx.model.profile, n)));
                     }
                 }
                 ap_par::map(candidates, |(mv, p)| {

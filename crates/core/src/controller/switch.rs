@@ -1,12 +1,10 @@
-//! Default [`Switch`] stage: plan a migration, price it for the arbiter,
+//! The switching stage (§4.4): price a planned migration for the arbiter
 //! and charge the pipeline pause of the configured execution mode.
 
 use ap_cluster::ClusterState;
-use ap_models::ModelProfile;
 use ap_pipesim::switching::PER_LAYER_CALL_OVERHEAD;
-use ap_pipesim::{Partition, ScheduleKind, SwitchPlan};
+use ap_pipesim::{Partition, SwitchPlan};
 
-use super::stages::Switch;
 use crate::switch_cost::SwitchCostModel;
 
 /// How an approved switch is executed.
@@ -18,9 +16,8 @@ pub enum SwitchMode {
     StopRestart,
 }
 
-/// Plans switches with [`SwitchPlan`], prices them with the learned
-/// [`SwitchCostModel`], and charges the pause of the configured
-/// [`SwitchMode`].
+/// Prices [`SwitchPlan`]s with the learned [`SwitchCostModel`] and
+/// charges the pause of the configured [`SwitchMode`].
 pub struct SwitchExecutor {
     cost_model: SwitchCostModel,
     mode: SwitchMode,
@@ -34,20 +31,9 @@ impl SwitchExecutor {
             mode,
         }
     }
-}
 
-impl Switch for SwitchExecutor {
-    fn plan(
-        &self,
-        from: &Partition,
-        to: &Partition,
-        profile: &ModelProfile,
-        schedule: ScheduleKind,
-    ) -> SwitchPlan {
-        SwitchPlan::between(from, to, profile, schedule)
-    }
-
-    fn predict_cost(
+    /// Predicted switch cost in seconds (the arbiter's cost input).
+    pub fn predict_cost(
         &self,
         plan: &SwitchPlan,
         iteration_time: f64,
@@ -58,7 +44,10 @@ impl Switch for SwitchExecutor {
             .predict(plan, iteration_time, current, state)
     }
 
-    fn pause_seconds(
+    /// Pipeline pause actually charged at the switch point (the engine
+    /// re-simulates the refill itself, so only non-refill components are
+    /// charged).
+    pub fn pause_seconds(
         &self,
         plan: &SwitchPlan,
         iteration_time: f64,

@@ -371,11 +371,7 @@ fn parallel_scoring_matches_serial_reference() {
                 })
                 .collect();
             let ctx = ScoreCtx {
-                profile: &p,
-                scheme: cfg.scheme,
-                framework: cfg.framework,
-                schedule: cfg.schedule,
-                calibration: cfg.calibration,
+                model: cfg.model(&p),
                 history: &history,
                 state: &st,
             };

@@ -1,7 +1,9 @@
-//! Default [`Verify`] stage: judge applied switches by their measured
-//! reward, decay trust on reverts, and enforce a post-revert cooldown.
+//! The verification stage: judge applied switches by their measured
+//! reward (§4.3 "the reward function is the training speed of one
+//! iteration"), decay trust in the scorer on reverts, and enforce a
+//! post-revert cooldown.
 
-use super::stages::{PendingSwitch, Verdict, Verify};
+use ap_pipesim::Partition;
 
 /// Measured speed below `expected * REVERT_FRACTION` triggers a revert.
 const REVERT_FRACTION: f64 = 0.75;
@@ -11,6 +13,45 @@ const TRUST_DECAY: f64 = 0.6;
 const TRUST_RECOVERY: f64 = 1.15;
 /// Decision points sat out after a revert.
 const REVERT_COOLDOWN: u8 = 2;
+
+/// A switch awaiting verification against its realized reward.
+#[derive(Debug, Clone)]
+pub struct PendingSwitch {
+    /// The partition that was replaced (the revert target).
+    pub prev: Partition,
+    /// Measured speed just before the switch.
+    pub prev_speed: f64,
+    /// Predicted speed of the previous partition at switch time.
+    pub prev_pred_then: f64,
+    /// Decision points until the verdict — the pipeline needs a couple of
+    /// windows to re-reach steady state.
+    pub wait: u8,
+}
+
+/// Outcome of one verification check.
+#[derive(Debug, Clone)]
+pub enum Verdict {
+    /// No switch pending.
+    Idle,
+    /// A switch is pending but not yet due (or no measurement arrived).
+    Waiting,
+    /// The last switch's measured reward met expectations.
+    Verified {
+        /// The measured speed that passed.
+        measured: f64,
+        /// The minimum speed that would have passed.
+        expected_floor: f64,
+    },
+    /// The last switch under-delivered; roll back to `prev`.
+    Revert {
+        /// The partition to reinstate.
+        prev: Partition,
+        /// The measured speed that failed.
+        measured: f64,
+        /// The minimum speed that would have passed.
+        expected_floor: f64,
+    },
+}
 
 /// Verifies the last switch against its realized reward once the pipeline
 /// has had time to settle. The expected speed is the pre-switch
@@ -32,20 +73,21 @@ impl RewardVerifier {
             cooldown: 0,
         }
     }
-}
 
-impl Default for RewardVerifier {
-    fn default() -> Self {
-        RewardVerifier::new()
-    }
-}
-
-impl Verify for RewardVerifier {
-    fn arm(&mut self, pending: PendingSwitch) {
+    /// Arm verification for a just-applied switch.
+    pub fn arm(&mut self, pending: PendingSwitch) {
         self.pending = Some(pending);
     }
 
-    fn check<F: FnOnce() -> f64>(&mut self, measured: Option<f64>, predict_current: F) -> Verdict {
+    /// Check the pending switch (if due) against the measured speed.
+    /// `predict_current` lazily prices the *current* partition under the
+    /// current state so a cluster-wide slowdown does not trigger a bogus
+    /// revert; it is only invoked when a verdict is actually due.
+    pub fn check(
+        &mut self,
+        measured: Option<f64>,
+        predict_current: impl FnOnce() -> f64,
+    ) -> Verdict {
         let Some(PendingSwitch {
             prev,
             prev_speed,
@@ -96,11 +138,13 @@ impl Verify for RewardVerifier {
         }
     }
 
-    fn trust(&self) -> f64 {
+    /// Confidence in the scorer's predicted gains, in `(0, 1]`.
+    pub fn trust(&self) -> f64 {
         self.trust
     }
 
-    fn tick_cooldown(&mut self) -> bool {
+    /// Tick the post-revert cooldown; `true` while sitting out.
+    pub fn tick_cooldown(&mut self) -> bool {
         if self.cooldown > 0 {
             self.cooldown -= 1;
             true
@@ -109,7 +153,16 @@ impl Verify for RewardVerifier {
         }
     }
 
-    fn disarm(&mut self) {
+    /// Drop any pending verification. Emergency repairs call this: the
+    /// pending revert target may name a worker that just died, and
+    /// reinstating it would re-break the job.
+    pub fn disarm(&mut self) {
         self.pending = None;
+    }
+}
+
+impl Default for RewardVerifier {
+    fn default() -> Self {
+        RewardVerifier::new()
     }
 }

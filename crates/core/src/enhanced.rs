@@ -6,19 +6,17 @@
 //! of three recent works, i.e., DAPPLE, Chimera and PipeDream-2BW."
 //!
 //! The vanilla versions of these systems split structurally uniform models
-//! *evenly* (§2.1, category 1) and never re-plan. The enhancement is an
-//! alternative composition of the controller's stage implementations: the
-//! same [`MoveEnumerator`] and analytic [`Scorer`] the live controller
-//! runs, driven by the shared [`refine`] loop on top of the same schedule.
-
-use std::collections::VecDeque;
+//! *evenly* (§2.1, category 1) and never re-plan. The enhancement re-plans
+//! the even split with the controller's own steady-state optimizer,
+//! [`hill_climb`]: the same move enumerator and analytic scorer the live
+//! controller runs, on top of the same schedule.
 
 use ap_cluster::{ClusterState, GpuId};
 use ap_models::ModelProfile;
 use ap_pipesim::{AnalyticModel, Framework, ScheduleKind, SyncScheme};
-use ap_planner::{sort_stage_workers_by, uniform_plan};
+use ap_planner::uniform_plan;
 
-use crate::controller::{refine, MoveEnumerator, ScoreCtx, Scorer};
+use crate::controller::hill_climb;
 
 /// Throughput of the vanilla (even-split, static) and AutoPipe-enhanced
 /// (environment-aware, refined) configuration of a schedule, in
@@ -43,28 +41,7 @@ pub fn enhanced_throughput(
     let vanilla_tp = model.throughput(&vanilla, state);
     // Stage composition: group replicas by effective speed, then greedily
     // chain two-worker moves under the analytic scorer.
-    let mut start = vanilla;
-    sort_stage_workers_by(&mut start, |g| state.effective_flops(g));
-    let history = VecDeque::new();
-    let ctx = ScoreCtx {
-        profile,
-        scheme,
-        framework,
-        schedule,
-        calibration: None,
-        history: &history,
-        state,
-    };
-    let enhanced = refine(
-        &MoveEnumerator::new(),
-        &Scorer::Analytic,
-        &ctx,
-        start,
-        &[],
-        30,
-        || false,
-    )
-    .partition;
+    let enhanced = hill_climb(&model, vanilla, state, 30);
     let enhanced_tp = model.throughput(&enhanced, state);
     (vanilla_tp, enhanced_tp)
 }

@@ -6,9 +6,9 @@
 //!
 //! ## Architecture (paper §4)
 //!
-//! The control loop is an explicit pipeline of stages (the traits in
-//! [`controller::stages`]), composed by [`controller::AutoPipeController`]
-//! and journaled at every step:
+//! The control loop is an explicit pipeline of stages, one plain type
+//! per stage called directly by [`controller::AutoPipeController`] and
+//! journaled at every step:
 //!
 //! ```text
 //!  ┌───────────────────── AutoPipeController (decision pipeline) ─────────────────────┐
@@ -33,12 +33,13 @@
 //! * [`switch_cost`] — predicted cost of a partition switch;
 //! * [`arbiter`] — the RL model (two hidden layers, 32 and 16 neurons)
 //!   deciding whether the predicted gain justifies the switch;
-//! * [`controller`] — the staged decision pipeline, its default stage
-//!   implementations, the [`controller::DecisionJournal`] audit trail, and
+//! * [`controller`] — the staged decision pipeline, one submodule per
+//!   stage, the [`controller::DecisionJournal`] audit trail, and
 //!   a dynamic-scenario runner that produces the paper's
 //!   speed-vs-iteration curves (with an optional merged chrome trace);
 //! * [`enhanced`] — AutoPipe-enhanced DAPPLE / Chimera / PipeDream-2BW
-//!   (Figure 13), built on the same Enumerate/Score stages;
+//!   (Figure 13), re-planned by the controller's own
+//!   [`controller::hill_climb`];
 //! * [`HillClimbPlanner`] — the controller's per-job proposal that
 //!   [`ap_sched::tenancy`] drives for several jobs sharing the cluster.
 

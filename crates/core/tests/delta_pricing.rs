@@ -13,7 +13,7 @@ use ap_models::{
 };
 use ap_pipesim::{AnalyticModel, Calibration, Framework, Partition, ScheduleKind, SyncScheme};
 use ap_planner::{all_moves, drop_moves, pipedream_plan, MoveKind, PipeDreamView};
-use autopipe::controller::{Score, ScoreCtx};
+use autopipe::controller::ScoreCtx;
 use autopipe::Scorer;
 
 const SHAPES: [(usize, usize); 6] = [(2, 1), (3, 1), (2, 2), (5, 2), (3, 3), (4, 3)];
@@ -213,21 +213,17 @@ fn ties_go_to_the_last_maximum_like_a_serial_scan() {
     let history = VecDeque::new();
     let mut ties = 0;
     for schedule in ScheduleKind::zoo() {
-        let ctx = ScoreCtx {
+        let model = AnalyticModel {
             profile: &profile,
             scheme: SyncScheme::RingAllReduce,
             framework: Framework::pytorch(),
             schedule,
             calibration: None,
+        };
+        let ctx = ScoreCtx {
+            model,
             history: &history,
             state: &st,
-        };
-        let model = AnalyticModel {
-            profile: &profile,
-            scheme: ctx.scheme,
-            framework: ctx.framework,
-            schedule,
-            calibration: None,
         };
         let moves = all_moves(&base, &profile);
         let (score, mv) = Scorer::Analytic

@@ -19,12 +19,12 @@
 use std::ops::Range;
 
 use ap_cluster::{ClusterState, GpuId};
+use ap_ir::ScheduleKind;
 use ap_models::ModelProfile;
 
 use crate::calibration::Calibration;
 use crate::framework::Framework;
 use crate::partition::{Partition, Stage};
-use crate::schedule::ScheduleKind;
 use crate::sync::{pair_bw, SyncLinks, SyncScheme};
 
 /// Everything fixed about the workload except the partition and cluster

@@ -27,12 +27,12 @@ use std::collections::{BTreeSet, HashMap};
 use ap_cluster::{
     max_min_fair_rates, ClusterState, EventKind, FairShare, Flow, GpuId, ResourceTimeline,
 };
+use ap_ir::ScheduleKind;
 use ap_models::ModelProfile;
 
 use crate::calibration::Calibration;
 use crate::framework::Framework;
 use crate::partition::{Partition, PartitionError};
-use crate::schedule::ScheduleKind;
 use crate::sync::SyncScheme;
 
 /// Why a simulation run could not complete.

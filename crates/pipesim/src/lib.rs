@@ -8,8 +8,10 @@
 //! * [`partition`] — stages (contiguous layer ranges with data-parallel
 //!   worker sets) and the number of in-flight mini-batches, PipeDream's
 //!   "work partition";
-//! * [`schedule`] — the pipeline flavours the paper touches: PipeDream's
-//!   asynchronous 1F1B, GPipe, DAPPLE, Chimera, PipeDream-2BW;
+//! * [`ScheduleKind`] — the pipeline flavours the paper touches
+//!   (PipeDream's asynchronous 1F1B, GPipe, DAPPLE, Chimera,
+//!   PipeDream-2BW), re-exported from [`ap_ir`] so the IR generators,
+//!   this simulator and the ap-exec runtime share one vocabulary;
 //! * [`sync`] — data-parallel gradient synchronization (Parameter Server
 //!   and Ring All-reduce, the two schemes of Figure 8);
 //! * [`framework`] — per-framework constant factors (TensorFlow / MXNet /
@@ -33,12 +35,12 @@ pub mod engine;
 pub mod framework;
 pub mod json;
 pub mod partition;
-pub mod schedule;
 pub mod switching;
 pub mod sync;
 pub mod trace;
 
 pub use analytic::{AnalyticModel, PairEdit, StageTable};
+pub use ap_ir::ScheduleKind;
 pub use calibration::Calibration;
 pub use convergence::{accuracy_curve, ConvergenceModel, Paradigm};
 pub use engine::{
@@ -47,7 +49,6 @@ pub use engine::{
 };
 pub use framework::Framework;
 pub use partition::{Partition, PartitionError, Stage};
-pub use schedule::ScheduleKind;
 pub use switching::{
     abort_recovery_cost, abort_rollback_cost, fine_grained_cost, stop_restart_cost, MigrationStep,
     SwitchPlan,

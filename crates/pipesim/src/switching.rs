@@ -10,10 +10,10 @@
 //! mini-batches provide.
 
 use ap_cluster::{ClusterState, GpuId};
+use ap_ir::ScheduleKind;
 use ap_models::ModelProfile;
 
 use crate::partition::Partition;
-use crate::schedule::ScheduleKind;
 use crate::sync::worker_bandwidth;
 
 /// Fixed software overhead per layer migrated ("the cost of making

@@ -1,11 +1,12 @@
 //! Bounded retry with seeded exponential backoff.
 //!
-//! The same idiom as the controller's sim-time `RetryPolicy` (PR 3),
-//! lifted to wall-clock [`Duration`]s and an injectable [`Clock`]: every
-//! delay is a pure function of `(seed, attempt)`, so a replayed scenario
-//! replays the exact schedule, and the jitter (up to +50% of the nominal
-//! delay, drawn from an [`ap_rng::Rng`] stream) keeps a fleet of clients
-//! from retrying in lockstep.
+//! Time is a [`Duration`] read from an injectable [`Clock`], or passed in
+//! directly: the AutoPipe controller paces its emergency repairs in
+//! simulated seconds with this same policy. Every delay is a pure
+//! function of `(seed, attempt)`, so a replayed scenario replays the
+//! exact schedule, and the jitter (up to +50% of the nominal delay, drawn
+//! from an [`ap_rng::Rng`] stream) keeps a fleet of clients from retrying
+//! in lockstep.
 //!
 //! The policy itself never sleeps. [`Retry::ready`]/[`Retry::attempt`]
 //! are driven by clock readings, so tests crank a
@@ -269,6 +270,8 @@ mod tests {
         r.attempt(Duration::ZERO);
         r.attempt(Duration::ZERO);
         assert!(r.exhausted());
+        // Exhausted means never ready, however late.
+        assert!(!r.ready(Duration::MAX));
         r.reset();
         assert!(!r.exhausted());
         assert!(r.ready(Duration::ZERO));

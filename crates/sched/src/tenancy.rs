@@ -12,7 +12,7 @@
 //!
 //! The per-job re-partition proposal is abstracted behind [`ProposePlan`]
 //! so this crate does not depend on the controller: `autopipe` implements
-//! the trait with its Enumerate + Score hill climb
+//! the trait with its move-enumerating, analytically scored hill climb
 //! (`autopipe::HillClimbPlanner`), which both [`best_response_rounds`] and
 //! [`crate::ClusterScheduler`]'s event loop drive.
 

@@ -30,9 +30,7 @@ use ap_pipesim::{
 };
 use ap_planner::{pipedream_plan, sort_stage_workers_by, PipeDreamView};
 use ap_resilience::Deadline;
-use autopipe::controller::enumerate::MoveEnumerator;
-use autopipe::controller::stages::ScoreCtx;
-use autopipe::controller::{refine, DecisionJournal};
+use autopipe::controller::{refine, DecisionJournal, MoveEnumerator, ScoreCtx};
 use autopipe::{DecisionEvent, Scorer};
 
 /// Bytes per GiB, for human-readable memory figures in responses.
@@ -713,11 +711,13 @@ pub fn refine_plan(
 
     let history = VecDeque::new();
     let ctx = ScoreCtx {
-        profile: &profile,
-        scheme,
-        framework,
-        schedule: req.schedule,
-        calibration: req.planner.calibration,
+        model: AnalyticModel {
+            profile: &profile,
+            scheme,
+            framework,
+            schedule: req.schedule,
+            calibration: req.planner.calibration,
+        },
         history: &history,
         state: &state,
     };
@@ -739,11 +739,8 @@ pub fn refine_plan(
     let mem_model = MemoryModel::default();
     let analytic_of = |part: &Partition, kind: ScheduleKind| -> f64 {
         AnalyticModel {
-            profile: &profile,
-            scheme,
-            framework,
             schedule: kind,
-            calibration: req.planner.calibration,
+            ..ctx.model
         }
         .throughput(part, &state)
     };

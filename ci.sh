@@ -58,15 +58,14 @@ cargo run --release --offline -p ap-bench --bin repro -- chaos --smoke
 echo "== committed results regenerate =="
 # repro_out/ is the repository's claim to reproduce the paper, so every
 # deterministic figure must regenerate byte for byte. fig12 records
-# wall-clock time and is left out; so is ablations.json, whose committed
-# values no longer match a regeneration (ROADMAP item 2). The full chaos
-# run also writes BENCH_chaos.json into its working directory, so it runs
-# in the temp dir and that file is compared too.
+# wall-clock time and is left out. The full chaos run also writes
+# BENCH_chaos.json into its working directory, so it runs in the temp dir
+# and that file is compared too.
 cargo build --release --offline -p ap-bench --bin repro
 repro="$PWD/target/release/repro"
 repro_tmp="$(mktemp -d)"
 trap 'rm -rf "$mm_tmp" "$repro_tmp"' EXIT
-for fig in fig2 fig3 fig4 fig5 fig6 fig8 fig9 fig10 fig11 fig13 multijob chaos; do
+for fig in fig2 fig3 fig4 fig5 fig6 fig8 fig9 fig10 fig11 fig13 multijob ablations chaos; do
   (cd "$repro_tmp" && "$repro" "$fig" --json . >/dev/null)
   cmp "$repro_tmp/$fig.json" "repro_out/$fig.json"
 done

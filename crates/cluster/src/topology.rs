@@ -42,6 +42,9 @@ pub struct ClusterTopology {
     pub gpus: Vec<Gpu>,
     /// Bandwidth for transfers between GPUs of the same server, bytes/s.
     pub local_bytes_per_sec: f64,
+    /// Host server of every GPU, indexed by `GpuId.0`: the inverse of
+    /// `servers[].gpus`, so [`ClusterTopology::server_of`] is one load.
+    server_of_gpu: Vec<ServerId>,
 }
 
 impl ClusterTopology {
@@ -56,12 +59,14 @@ impl ClusterTopology {
         assert!(n_servers > 0 && gpus_per_server > 0, "empty topology");
         let mut servers = Vec::with_capacity(n_servers);
         let mut gpus = Vec::with_capacity(n_servers * gpus_per_server);
+        let mut server_of_gpu = Vec::with_capacity(n_servers * gpus_per_server);
         for s in 0..n_servers {
             let ids: Vec<GpuId> = (0..gpus_per_server)
                 .map(|g| GpuId(s * gpus_per_server + g))
                 .collect();
             for _ in 0..gpus_per_server {
                 gpus.push(Gpu::exclusive(kind));
+                server_of_gpu.push(ServerId(s));
             }
             servers.push(Server {
                 gpus: ids,
@@ -73,6 +78,7 @@ impl ClusterTopology {
             gpus,
             // PCIe 3.0 x16-ish local bandwidth; fast relative to any NIC.
             local_bytes_per_sec: kind.pcie_bytes_per_sec(),
+            server_of_gpu,
         }
     }
 
@@ -88,12 +94,10 @@ impl ClusterTopology {
 
     /// Which server hosts a GPU.
     pub fn server_of(&self, gpu: GpuId) -> ServerId {
-        for (s, srv) in self.servers.iter().enumerate() {
-            if srv.gpus.contains(&gpu) {
-                return ServerId(s);
-            }
+        match self.server_of_gpu.get(gpu.0) {
+            Some(&s) => s,
+            None => panic!("GPU {gpu:?} not present in topology"),
         }
-        panic!("GPU {gpu:?} not present in topology");
     }
 
     /// Whether two GPUs are colocated on one server.
@@ -173,6 +177,29 @@ mod tests {
             t.path(GpuId(0), GpuId(4)),
             vec![LinkId::Up(ServerId(0)), LinkId::Down(ServerId(2))]
         );
+    }
+
+    #[test]
+    fn server_table_matches_a_scan_of_the_servers() {
+        for (n_servers, per) in [(1, 1), (1, 8), (5, 2), (7, 3), (125, 4)] {
+            let t = ClusterTopology::single_switch(n_servers, per, GpuKind::V100, 25.0);
+            assert_eq!(t.n_gpus(), n_servers * per);
+            for g in (0..t.n_gpus()).map(GpuId) {
+                let scanned = t
+                    .servers
+                    .iter()
+                    .position(|s| s.gpus.contains(&g))
+                    .map(ServerId);
+                assert_eq!(Some(t.server_of(g)), scanned, "{n_servers}x{per} {g:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in topology")]
+    fn unknown_gpu_has_no_server() {
+        let t = ClusterTopology::single_switch(3, 2, GpuKind::P100, 25.0);
+        let _ = t.server_of(GpuId(6));
     }
 
     #[test]

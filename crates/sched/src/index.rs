@@ -17,7 +17,7 @@ use ap_cluster::{ClusterTopology, GpuId, ServerId};
 use crate::scheduler::JobId;
 
 /// Reverse index: GPU → resident jobs, server → jobs with a worker there.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ContentionIndex {
     by_gpu: BTreeMap<GpuId, BTreeSet<JobId>>,
     by_server: BTreeMap<ServerId, BTreeSet<JobId>>,
@@ -40,7 +40,8 @@ impl ContentionIndex {
         }
     }
 
-    /// Remove `job` from `gpus` (its former footprint).
+    /// Remove `job` from `gpus` (its former footprint, or part of it).
+    /// O(footprint × GPUs per server).
     pub fn remove(&mut self, topo: &ClusterTopology, job: JobId, gpus: &[GpuId]) {
         for &g in gpus {
             if let Some(set) = self.by_gpu.get_mut(&g) {
@@ -49,24 +50,23 @@ impl ContentionIndex {
                     self.by_gpu.remove(&g);
                 }
             }
+        }
+        for &g in gpus {
             let s = topo.server_of(g);
-            // Only drop the server entry once no other GPU of this job
-            // remains on it — handled by recomputing membership below.
+            // The job keeps its server entry while any other GPU of that
+            // server still hosts it.
+            let remains = topo.servers[s.0]
+                .gpus
+                .iter()
+                .any(|h| self.by_gpu.get(h).is_some_and(|jobs| jobs.contains(&job)));
+            if remains {
+                continue;
+            }
             if let Some(set) = self.by_server.get_mut(&s) {
                 set.remove(&job);
                 if set.is_empty() {
                     self.by_server.remove(&s);
                 }
-            }
-        }
-        // A job with several GPUs on one server is removed from the server
-        // set on the first of them; re-add for GPUs that remain.
-        for (&g, jobs) in &self.by_gpu {
-            if jobs.contains(&job) {
-                self.by_server
-                    .entry(topo.server_of(g))
-                    .or_default()
-                    .insert(job);
             }
         }
     }
@@ -139,6 +139,48 @@ mod tests {
         ix.remove(&t, JobId(7), &[GpuId(1)]);
         assert_eq!(ix.jobs_on_server(ServerId(0)).count(), 0);
         assert_eq!(ix.residency(GpuId(1)), 0);
+    }
+
+    #[test]
+    fn random_inserts_and_removes_match_a_rebuilt_index() {
+        // 5 servers x 3 GPUs.
+        let t = ClusterTopology::single_switch(5, 3, GpuKind::P100, 25.0);
+        let mut rng = ap_rng::Rng::seed_from_u64(9);
+        let mut ix = ContentionIndex::new();
+        // Each job's live GPUs, the index's ground truth.
+        let mut live: BTreeMap<JobId, Vec<GpuId>> = BTreeMap::new();
+        for step in 0..600u64 {
+            let roll = rng.gen_range(0..4u32);
+            if live.is_empty() || roll == 0 {
+                let n = rng.gen_range(1..=5usize);
+                let mut gpus: Vec<GpuId> = (0..n)
+                    .map(|_| GpuId(rng.gen_range(0..t.n_gpus())))
+                    .collect();
+                gpus.sort();
+                gpus.dedup();
+                ix.insert(&t, JobId(step), &gpus);
+                live.insert(JobId(step), gpus);
+            } else {
+                let pick = rng.gen_range(0..live.len());
+                let (&job, gpus) = live.iter_mut().nth(pick).expect("non-empty");
+                // Remove the whole footprint, or a random part of it.
+                let cut = if roll == 1 {
+                    gpus.len()
+                } else {
+                    rng.gen_range(1..=gpus.len())
+                };
+                let gone: Vec<GpuId> = gpus.drain(..cut).collect();
+                ix.remove(&t, job, &gone);
+                if gpus.is_empty() {
+                    live.remove(&job);
+                }
+            }
+            let mut rebuilt = ContentionIndex::new();
+            for (&job, gpus) in &live {
+                rebuilt.insert(&t, job, gpus);
+            }
+            assert_eq!(ix, rebuilt, "step {step}");
+        }
     }
 
     #[test]

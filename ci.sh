@@ -71,6 +71,22 @@ for fig in fig2 fig3 fig4 fig5 fig6 fig8 fig9 fig10 fig11 fig13 multijob ablatio
 done
 cmp "$repro_tmp/BENCH_chaos.json" BENCH_chaos.json
 
+echo "== committed benchmark files regenerate =="
+# cluster-bench and mem-bench write BENCH_cluster.json and BENCH_mem.json
+# into their working directory, so they run in a temp dir. BENCH_mem is
+# closed-form model arithmetic and must match whole. BENCH_cluster also
+# records wall-clock latencies: every line holding one of the keys listed
+# in ci/bench_cluster_wallclock_keys.txt is dropped from both files, and
+# the rest (placements, counts, objectives) must match. ap-sched seeds
+# every job with PipeDream's DP, so this also guards the DP's answers.
+bench_tmp="$(mktemp -d)"
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp"' EXIT
+(cd "$bench_tmp" && "$repro" cluster-bench >/dev/null && "$repro" mem-bench >/dev/null)
+cmp "$bench_tmp/BENCH_mem.json" BENCH_mem.json
+wallclock=ci/bench_cluster_wallclock_keys.txt
+diff <(grep -v -F -f "$wallclock" "$bench_tmp/BENCH_cluster.json") \
+  <(grep -v -F -f "$wallclock" BENCH_cluster.json)
+
 echo "== serve + resilience smoke =="
 # Serving-layer smoke: spawns the ap-serve daemon on an ephemeral port and
 # drives every endpoint — plan + cache hit, invalidation, simulate,
@@ -85,7 +101,7 @@ echo "== serve + resilience smoke =="
 # must be byte-identical (the planner is deterministic across thread
 # counts).
 serve_tmp="$(mktemp -d)"
-trap 'rm -rf "$mm_tmp" "$repro_tmp" "$serve_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp" "$serve_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/b"
 cmp "$serve_tmp/a/serve.json" "$serve_tmp/b/serve.json"
@@ -107,7 +123,7 @@ echo "== exec smoke =="
 # Both an async and a flush schedule replay the same IR contract, so the
 # determinism gate runs per schedule kind.
 exec_tmp="$(mktemp -d)"
-trap 'rm -rf "$mm_tmp" "$repro_tmp" "$serve_tmp" "$exec_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp" "$serve_tmp" "$exec_tmp"' EXIT
 for sched in pipedream_async gpipe; do
   cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-a"
   AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-b"
@@ -127,7 +143,7 @@ echo "== cluster control-plane smoke =="
 # mid-listing, which pipefail turns into a spurious failure)
 cargo run --release --offline -p ap-bench --bin repro -- list | grep cluster-bench >/dev/null
 sched_tmp="$(mktemp -d)"
-trap 'rm -rf "$mm_tmp" "$repro_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/b"
 cmp "$sched_tmp/a/cluster.json" "$sched_tmp/b/cluster.json"
@@ -141,7 +157,7 @@ echo "== memory-aware planning smoke =="
 # byte-identical across AP_PAR_THREADS.
 cargo run --release --offline -p ap-bench --bin repro -- list | grep mem-bench >/dev/null
 mem_tmp="$(mktemp -d)"
-trap 'rm -rf "$mm_tmp" "$repro_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp" "$mem_tmp"' EXIT
+trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp" "$mem_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/a"
 AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/b"
 cmp "$mem_tmp/a/mem.json" "$mem_tmp/b/mem.json"

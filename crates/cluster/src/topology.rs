@@ -105,15 +105,12 @@ impl ClusterTopology {
         self.server_of(a) == self.server_of(b)
     }
 
-    /// The sequence of directed links a transfer from `src` GPU to `dst`
-    /// GPU traverses. Empty when both GPUs share a server (local transfer).
-    pub fn path(&self, src: GpuId, dst: GpuId) -> Vec<LinkId> {
+    /// The directed links a transfer from `src` GPU to `dst` GPU
+    /// traverses, in order: the sender's uplink, then the receiver's
+    /// downlink. `None` when both GPUs share a server (local transfer).
+    pub fn path(&self, src: GpuId, dst: GpuId) -> Option<[LinkId; 2]> {
         let (s, d) = (self.server_of(src), self.server_of(dst));
-        if s == d {
-            Vec::new()
-        } else {
-            vec![LinkId::Up(s), LinkId::Down(d)]
-        }
+        (s != d).then_some([LinkId::Up(s), LinkId::Down(d)])
     }
 
     /// Line-rate capacity of a link in bytes/s.
@@ -172,10 +169,10 @@ mod tests {
         assert_eq!(t.server_of(GpuId(0)), ServerId(0));
         assert_eq!(t.server_of(GpuId(5)), ServerId(2));
         assert!(t.same_server(GpuId(2), GpuId(3)));
-        assert!(t.path(GpuId(0), GpuId(1)).is_empty());
+        assert_eq!(t.path(GpuId(0), GpuId(1)), None);
         assert_eq!(
             t.path(GpuId(0), GpuId(4)),
-            vec![LinkId::Up(ServerId(0)), LinkId::Down(ServerId(2))]
+            Some([LinkId::Up(ServerId(0)), LinkId::Down(ServerId(2))])
         );
     }
 

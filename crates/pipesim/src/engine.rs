@@ -25,7 +25,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use ap_cluster::{
-    max_min_fair_rates, ClusterState, EventKind, FairShare, Flow, GpuId, ResourceTimeline,
+    max_min_fair_rates, ClusterState, EventKind, FairShare, Flow, GpuId, LinkId, ResourceTimeline,
+    ServerId,
 };
 use ap_ir::ScheduleKind;
 use ap_models::ModelProfile;
@@ -341,6 +342,9 @@ enum Activity {
     Transfer {
         flow: Flow,
         remaining_bytes: f64,
+        /// Max-min fair rate, bytes/s, from the last solve. Solved again
+        /// only when the set of transfers or the link capacities change.
+        rate: f64,
         /// What completion unblocks.
         unlocks: Unlock,
     },
@@ -349,6 +353,56 @@ enum Activity {
     /// A pure time delay (e.g. a fine-grained migration stall); completion
     /// has no effect beyond advancing the clock so frozen workers re-check.
     Timer { remaining_seconds: f64 },
+}
+
+/// One worker's ready tasks as `(0 = backward / 1 = forward, unit,
+/// stage)`: a sorted, deduplicated `Vec`, so it iterates in the order of
+/// an ordered set, and inserts reuse its buffer instead of allocating.
+#[derive(Debug, Default)]
+struct ReadyQueue(Vec<(u8, u64, usize)>);
+
+impl ReadyQueue {
+    fn insert(&mut self, key: (u8, u64, usize)) {
+        if let Err(at) = self.0.binary_search(&key) {
+            self.0.insert(at, key);
+        }
+    }
+
+    fn remove(&mut self, key: (u8, u64, usize)) {
+        if let Ok(at) = self.0.binary_search(&key) {
+            self.0.remove(at);
+        }
+    }
+}
+
+/// Index of `link` in the engine's capacity table.
+fn link_slot(link: LinkId) -> usize {
+    match link {
+        LinkId::Up(s) => 2 * s.0,
+        LinkId::Down(s) => 2 * s.0 + 1,
+    }
+}
+
+/// The rate [`max_min_fair_rates`] gives an elastic flow that has the
+/// fabric to itself, without the fill's tables. A local flow gets
+/// `local_rate`. Otherwise the fill's first round raises the flow by the
+/// smallest finite capacity on its path; that saturates the link and
+/// freezes the flow. With no finite capacity on the path the rate is
+/// infinite.
+fn lone_flow_rate(links: &[LinkId], capacity: impl Fn(LinkId) -> f64, local_rate: f64) -> f64 {
+    if links.is_empty() {
+        return local_rate;
+    }
+    let narrowest = links
+        .iter()
+        .map(|&l| capacity(l))
+        .filter(|c| c.is_finite())
+        .fold(f64::INFINITY, f64::min);
+    if narrowest.is_finite() {
+        narrowest.max(0.0)
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// One partition regime during a run. Units carry the epoch that was
@@ -442,7 +496,7 @@ pub struct Engine<'a> {
 
     // Dynamic state.
     now: f64,
-    ready: Vec<BTreeSet<(u8, u64, usize)>>, // per worker: (0=B/1=F, unit, stage)
+    ready: Vec<ReadyQueue>,
     activities: Vec<Activity>,
     worker_busy_flag: Vec<bool>,
     /// Worker's previous gradient sync still in flight (its next backward
@@ -480,10 +534,25 @@ pub struct Engine<'a> {
     /// consult the controller immediately instead of waiting for the
     /// completion cadence.
     fault_consult: bool,
-    // Hot-loop buffers, kept across ticks so the rate solve and the drain
-    // allocate nothing.
-    /// Transfer rates solved once per tick.
+    // Hot-loop state, kept across ticks so that a tick allocates nothing
+    // and does no map lookup.
+    /// Per worker, `effective_flops × compute_efficiency` at the current
+    /// cluster state. Rebuilt only when a resource event applies.
+    compute_rates: Vec<f64>,
+    /// Per directed link (see `link_slot`), `available_capacity ×
+    /// comm_efficiency` at the current cluster state. Rebuilt with
+    /// `compute_rates`.
+    link_caps: Vec<f64>,
+    /// The transfer set or the link capacities changed since the last
+    /// rate solve. Progressive filling gives each flow the same rate
+    /// whatever the order of the flows, so an unchanged set keeps its
+    /// rates exactly, even when completions of other activities reorder
+    /// it.
+    rates_dirty: bool,
+    /// Tables of the max-min fill, reused by every solve.
     fair_share: FairShare,
+    /// Path buffers of finished transfers, reused by new ones.
+    spare_paths: Vec<Vec<LinkId>>,
     /// Activities that completed in the current step.
     completed: Vec<Activity>,
 }
@@ -516,7 +585,7 @@ impl<'a> Engine<'a> {
         let n_workers = workers.len();
         let n_stages = partition.n_stages();
         let epoch0 = Epoch::build(partition, profile, micro, recompute, &worker_index, 0);
-        Ok(Engine {
+        let mut engine = Engine {
             profile,
             cfg,
             state,
@@ -528,7 +597,7 @@ impl<'a> Engine<'a> {
             epochs: vec![epoch0],
             micro,
             now: 0.0,
-            ready: vec![BTreeSet::new(); n_workers],
+            ready: (0..n_workers).map(|_| ReadyQueue::default()).collect(),
             activities: Vec::new(),
             worker_busy_flag: vec![false; n_workers],
             sync_busy: vec![false; n_workers],
@@ -550,9 +619,34 @@ impl<'a> Engine<'a> {
             fault_log: Vec::new(),
             active_migration: None,
             fault_consult: false,
+            compute_rates: vec![0.0; n_workers],
+            link_caps: Vec::new(),
+            rates_dirty: false,
             fair_share: FairShare::default(),
+            spare_paths: Vec::new(),
             completed: Vec::new(),
-        })
+        };
+        engine.refresh_rates();
+        Ok(engine)
+    }
+
+    /// Rebuild the per-worker compute rates and per-link capacities from
+    /// the cluster state; every transfer rate must be solved again.
+    fn refresh_rates(&mut self) {
+        let compute_eff = self.cfg.framework.compute_efficiency;
+        for (rate, &g) in self.compute_rates.iter_mut().zip(&self.workers) {
+            *rate = self.state.effective_flops(g) * compute_eff;
+        }
+        let comm_eff = self.cfg.framework.comm_efficiency;
+        self.link_caps.clear();
+        for s in 0..self.state.topology.servers.len() {
+            for link in [LinkId::Up(ServerId(s)), LinkId::Down(ServerId(s))] {
+                debug_assert_eq!(link_slot(link), self.link_caps.len());
+                self.link_caps
+                    .push(self.state.available_capacity(link) * comm_eff);
+            }
+        }
+        self.rates_dirty = true;
     }
 
     fn n_stages(&self) -> usize {
@@ -588,10 +682,6 @@ impl<'a> Engine<'a> {
             return None;
         }
         Some(replicas[(unit % replicas.len() as u64) as usize])
-    }
-
-    fn compute_rate(&self, worker: usize) -> f64 {
-        self.state.effective_flops(self.workers[worker]) * self.cfg.framework.compute_efficiency
     }
 
     /// Calibrated extra seconds a task occupies its stage thread beyond
@@ -660,14 +750,14 @@ impl<'a> Engine<'a> {
     /// async backward passes at the owner's current rate).
     fn task_flops(&self, task: Task, worker: usize) -> f64 {
         let epoch = self.epoch_for(task.unit);
-        let extra = self.task_extra_seconds(task, epoch) * self.compute_rate(worker);
+        let extra = self.task_extra_seconds(task, epoch) * self.compute_rates[worker];
         match task.kind {
             WorkKind::Forward => {
                 let mut f = epoch.stage_fwd_flops[task.stage] + extra;
                 // Per-iteration framework overhead charged on entry.
                 if task.stage == 0 {
                     f += self.cfg.framework.per_iter_overhead / self.micro as f64
-                        * self.compute_rate(worker);
+                        * self.compute_rates[worker];
                 }
                 f
             }
@@ -684,43 +774,43 @@ impl<'a> Engine<'a> {
     /// server replica's NIC; a ring pass touches every inter-server hop of
     /// the replica ring. Concurrent syncs contend via max-min fair share.
     fn launch_sync(&mut self, worker: usize, stage: usize, unit: u64) {
-        let epoch = self.epoch_for(unit);
-        let st = &epoch.partition.stages[stage];
-        let m = st.workers.len();
+        let m = self.epoch_for(unit).partition.stages[stage].workers.len();
         if !self.cfg.schedule.is_async() || m <= 1 {
             return;
         }
+        let mut links = self.spare_paths.pop().unwrap_or_default();
+        let epoch = self.epoch_for(unit);
+        let st = &epoch.partition.stages[stage];
         let bytes = epoch.partition.stage_param_bytes(stage, self.profile);
         let me = self.workers[worker];
-        let (links, volume) = match self.cfg.scheme {
+        let topology = &self.state.topology;
+        let volume = match self.cfg.scheme {
             SyncScheme::ParameterServer => {
                 // Push + pull between this replica and the PS (replica 0).
-                let server = st.workers[0];
-                (self.state.topology.path(me, server), 2.0 * bytes)
+                links.extend(topology.path(me, st.workers[0]).into_iter().flatten());
+                2.0 * bytes
             }
             SyncScheme::RingAllReduce => {
                 // One ring pass: every consecutive hop, deduplicated.
-                let mut links = Vec::new();
                 for i in 0..m {
-                    let hop = self
-                        .state
-                        .topology
-                        .path(st.workers[i], st.workers[(i + 1) % m]);
-                    for l in hop {
+                    let hop = topology.path(st.workers[i], st.workers[(i + 1) % m]);
+                    for l in hop.into_iter().flatten() {
                         if !links.contains(&l) {
                             links.push(l);
                         }
                     }
                 }
-                (links, 2.0 * (m as f64 - 1.0) / m as f64 * bytes)
+                2.0 * (m as f64 - 1.0) / m as f64 * bytes
             }
         };
         self.sync_busy[worker] = true;
         self.activities.push(Activity::Transfer {
             flow: Flow::elastic(links),
             remaining_bytes: volume.max(1.0),
+            rate: 0.0,
             unlocks: Unlock::SyncDone(worker),
         });
+        self.rates_dirty = true;
     }
 
     fn mark_ready(&mut self, task: Task) {
@@ -789,23 +879,25 @@ impl<'a> Engine<'a> {
 
     /// Give idle workers their best ready task (1F1B: backward first).
     fn dispatch(&mut self) {
+        // 1F1B order (backward first); GPipe instead drains every forward
+        // before any backward ("the micro-batches of the same mini-batch
+        // pass all GPUs sequentially", §2.1). A backward pass is
+        // additionally gated on the worker's previous gradient sync
+        // landing.
+        let gpipe = matches!(self.cfg.schedule, ScheduleKind::GPipe { .. });
         for w in 0..self.workers.len() {
             if self.dead[w] || self.worker_busy_flag[w] || self.now < self.ready_after[w] - 1e-9 {
                 continue;
             }
-            // 1F1B order (backward first); GPipe instead drains every
-            // forward before any backward ("the micro-batches of the same
-            // mini-batch pass all GPUs sequentially", §2.1). A backward
-            // pass is additionally gated on the worker's previous gradient
-            // sync landing.
-            let gpipe = matches!(self.cfg.schedule, ScheduleKind::GPipe { .. });
             let pick = if gpipe {
                 self.ready[w]
+                    .0
                     .iter()
                     .max_by_key(|&&(pri, unit, _)| (pri, std::cmp::Reverse(unit)))
                     .copied()
             } else {
                 self.ready[w]
+                    .0
                     .iter()
                     .find(|&&(pri, _, _)| pri == 1 || !self.sync_busy[w])
                     .copied()
@@ -813,7 +905,7 @@ impl<'a> Engine<'a> {
             let Some((pri, unit, stage)) = pick else {
                 continue;
             };
-            self.ready[w].remove(&(pri, unit, stage));
+            self.ready[w].remove((pri, unit, stage));
             let kind = if pri == 0 {
                 WorkKind::Backward
             } else {
@@ -835,20 +927,37 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Current transfer rates via max-min fair share, one per transfer
-    /// activity in activity order, solved into `out`.
-    fn solve_transfer_rates(&self, out: &mut FairShare) {
+    /// Solve every transfer's max-min fair rate over the cached link
+    /// capacities and store it on the transfer. One live transfer skips
+    /// the fill: [`lone_flow_rate`] is its exact answer.
+    fn solve_transfer_rates(&mut self) {
+        self.rates_dirty = false;
+        let caps = &self.link_caps;
+        let capacity = |l: LinkId| caps[link_slot(l)];
+        let local_rate = self.state.topology.local_bytes_per_sec;
+        let mut transfers = self.activities.iter_mut().filter_map(|a| match a {
+            Activity::Transfer { flow, rate, .. } => Some((flow, rate)),
+            _ => None,
+        });
+        let Some((flow, rate)) = transfers.next() else {
+            return;
+        };
+        if transfers.next().is_none() {
+            *rate = lone_flow_rate(&flow.links, capacity, local_rate);
+            return;
+        }
         let flows = self.activities.iter().filter_map(|a| match a {
             Activity::Transfer { flow, .. } => Some(flow),
             _ => None,
         });
-        let comm_eff = self.cfg.framework.comm_efficiency;
-        max_min_fair_rates(
-            flows,
-            |l| self.state.available_capacity(l) * comm_eff,
-            self.state.topology.local_bytes_per_sec,
-            out,
-        );
+        let mut solved = max_min_fair_rates(flows, capacity, local_rate, &mut self.fair_share)
+            .iter()
+            .copied();
+        for a in &mut self.activities {
+            if let Activity::Transfer { rate, .. } = a {
+                *rate = solved.next().expect("one solved rate per transfer");
+            }
+        }
     }
 
     /// Launch the transfer that feeds `unlocks` from `from_worker`.
@@ -857,15 +966,27 @@ impl<'a> Engine<'a> {
             self.strand_unit(unlocks.unit);
             return;
         };
-        let links = self
+        let mut links = self.spare_paths.pop().unwrap_or_default();
+        let path = self
             .state
             .topology
             .path(self.workers[from_worker], self.workers[to_worker]);
+        links.extend(path.into_iter().flatten());
         self.activities.push(Activity::Transfer {
             flow: Flow::elastic(links),
             remaining_bytes: bytes,
+            rate: 0.0,
             unlocks: Unlock::Task(unlocks),
         });
+        self.rates_dirty = true;
+    }
+
+    /// Keep a finished transfer's path buffer for a later transfer; the
+    /// set of transfers changed, so their rates must be solved again.
+    fn retire_transfer(&mut self, mut flow: Flow) {
+        flow.links.clear();
+        self.spare_paths.push(flow.links);
+        self.rates_dirty = true;
     }
 
     fn on_compute_done(&mut self, worker: usize, task: Task, started: f64) {
@@ -1120,10 +1241,13 @@ impl<'a> Engine<'a> {
     /// dictates — queued tasks keep their original epoch, so only
     /// bookkeeping position changes, not semantics.
     fn rehome_ready(&mut self) {
-        let queued: Vec<(u8, u64, usize)> =
-            self.ready.iter().flat_map(|s| s.iter().copied()).collect();
-        for r in &mut self.ready {
-            r.clear();
+        let queued: Vec<(u8, u64, usize)> = self
+            .ready
+            .iter()
+            .flat_map(|q| q.0.iter().copied())
+            .collect();
+        for q in &mut self.ready {
+            q.0.clear();
         }
         for (pri, unit, stage) in queued {
             let kind = if pri == 0 {
@@ -1159,12 +1283,8 @@ impl<'a> Engine<'a> {
     /// mini-batch is ever silently dropped.
     fn strand_unit(&mut self, unit: u64) {
         self.stranded.insert(unit);
-        for r in &mut self.ready {
-            let stale: Vec<(u8, u64, usize)> =
-                r.iter().copied().filter(|&(_, u, _)| u == unit).collect();
-            for k in stale {
-                r.remove(&k);
-            }
+        for q in &mut self.ready {
+            q.0.retain(|&(_, u, _)| u != unit);
         }
         let mut i = 0;
         while i < self.activities.len() {
@@ -1177,8 +1297,10 @@ impl<'a> Engine<'a> {
                 _ => false,
             };
             if drop {
-                if let Activity::Compute { worker, .. } = self.activities.swap_remove(i) {
-                    self.worker_busy_flag[worker] = false;
+                match self.activities.swap_remove(i) {
+                    Activity::Compute { worker, .. } => self.worker_busy_flag[worker] = false,
+                    Activity::Transfer { flow, .. } => self.retire_transfer(flow),
+                    _ => {}
                 }
             } else {
                 i += 1;
@@ -1263,8 +1385,7 @@ impl<'a> Engine<'a> {
         }
         self.worker_busy_flag[w] = false;
         self.sync_busy[w] = false;
-        let queued: Vec<(u8, u64, usize)> = self.ready[w].iter().copied().collect();
-        self.ready[w].clear();
+        let queued = std::mem::take(&mut self.ready[w].0);
         for (pri, unit, stage) in queued {
             let kind = if pri == 0 {
                 WorkKind::Backward
@@ -1346,7 +1467,7 @@ impl<'a> Engine<'a> {
             // Nothing runnable: only resource events can advance time.
             match self.resources.next_event_after(self.res_cursor) {
                 Some(t) => {
-                    self.advance_to(t, &[], 1.0);
+                    self.advance_to(t, 1.0);
                     return Ok(());
                 }
                 None => {
@@ -1375,29 +1496,27 @@ impl<'a> Engine<'a> {
         }
         // Earliest completion among activities at current rates. Nothing
         // changes between here and the drain, so one solve serves both.
-        let mut fair_share = std::mem::take(&mut self.fair_share);
-        self.solve_transfer_rates(&mut fair_share);
-        let rates = fair_share.rates();
+        if self.rates_dirty {
+            self.solve_transfer_rates();
+        }
         let share = self.compute_share();
         let mut t_done = f64::INFINITY;
-        let mut ti = 0usize;
         for a in &self.activities {
             let dt = match a {
                 Activity::Compute {
                     worker,
                     remaining_flops,
                     ..
-                } => remaining_flops / (self.compute_rate(*worker) * share).max(1e-6),
+                } => remaining_flops / (self.compute_rates[*worker] * share).max(1e-6),
                 Activity::Transfer {
-                    remaining_bytes, ..
-                } => remaining_bytes / rates[ti].max(1e-3),
+                    remaining_bytes,
+                    rate,
+                    ..
+                } => remaining_bytes / rate.max(1e-3),
                 Activity::Flush { remaining_seconds } | Activity::Timer { remaining_seconds } => {
                     *remaining_seconds
                 }
             };
-            if let Activity::Transfer { .. } = a {
-                ti += 1;
-            }
             if dt < t_done {
                 t_done = dt;
             }
@@ -1415,8 +1534,7 @@ impl<'a> Engine<'a> {
             Some(te) if te < t_complete => te,
             _ => t_complete,
         };
-        self.advance_to(t_next, rates, share);
-        self.fair_share = fair_share;
+        self.advance_to(t_next, share);
         Ok(())
     }
 
@@ -1445,14 +1563,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Move time forward to `t`, draining activities at the transfer
-    /// `rates` (one per transfer activity, in order) and compute `share`
-    /// solved at `now`, and applying any resource events at exactly `t`.
-    /// Rates and share only change at event boundaries, so one solve is
-    /// exact for the whole [now, t] interval.
-    fn advance_to(&mut self, t: f64, rates: &[f64], share: f64) {
+    /// rates and compute `share` solved at `now`, and applying any
+    /// resource events at exactly `t`. Rates and share only change at
+    /// event boundaries, so one solve is exact for the whole [now, t]
+    /// interval.
+    fn advance_to(&mut self, t: f64, share: f64) {
         let dt = t - self.now;
         debug_assert!(dt >= -1e-9, "time went backwards");
-        let mut ti = 0usize;
         for a in &mut self.activities {
             match a {
                 Activity::Compute {
@@ -1460,16 +1577,15 @@ impl<'a> Engine<'a> {
                     remaining_flops,
                     ..
                 } => {
-                    let rate = self.state.effective_flops(self.workers[*worker])
-                        * self.cfg.framework.compute_efficiency
-                        * share;
+                    let rate = self.compute_rates[*worker] * share;
                     *remaining_flops -= rate * dt;
                 }
                 Activity::Transfer {
-                    remaining_bytes, ..
+                    remaining_bytes,
+                    rate,
+                    ..
                 } => {
-                    *remaining_bytes -= rates[ti] * dt;
-                    ti += 1;
+                    *remaining_bytes -= *rate * dt;
                 }
                 Activity::Flush { remaining_seconds } | Activity::Timer { remaining_seconds } => {
                     *remaining_seconds -= dt;
@@ -1478,21 +1594,22 @@ impl<'a> Engine<'a> {
         }
         self.now = t;
 
-        // Apply resource events scheduled at or before t.
-        let events: Vec<_> = self
-            .resources
-            .events_between(self.res_cursor, t)
-            .iter()
-            .map(|e| e.kind.clone())
-            .collect();
-        for k in &events {
-            self.state.apply(k);
-            match k {
-                EventKind::WorkerFail(g) => self.fail_worker(*g),
-                EventKind::WorkerRecover(g) => self.recover_worker(*g),
+        // Apply resource events scheduled at or before t. The handlers
+        // never read the timeline, so it is set aside while they run.
+        let resources = std::mem::take(&mut self.resources);
+        let events = resources.events_between(self.res_cursor, t);
+        for e in events {
+            self.state.apply(&e.kind);
+            match e.kind {
+                EventKind::WorkerFail(g) => self.fail_worker(g),
+                EventKind::WorkerRecover(g) => self.recover_worker(g),
                 _ => {}
             }
         }
+        if !events.is_empty() {
+            self.refresh_rates();
+        }
+        self.resources = resources;
         self.res_cursor = self.res_cursor.max(t);
         // A migration window that elapsed without incident is no longer
         // vulnerable to rollback.
@@ -1532,10 +1649,13 @@ impl<'a> Engine<'a> {
                     started,
                     ..
                 } => self.on_compute_done(worker, task, started),
-                Activity::Transfer { unlocks, .. } => match unlocks {
-                    Unlock::Task(t) => self.mark_ready(t),
-                    Unlock::SyncDone(w) => self.sync_busy[w] = false,
-                },
+                Activity::Transfer { flow, unlocks, .. } => {
+                    self.retire_transfer(flow);
+                    match unlocks {
+                        Unlock::Task(t) => self.mark_ready(t),
+                        Unlock::SyncDone(w) => self.sync_busy[w] = false,
+                    }
+                }
                 Activity::Timer { .. } => {}
                 Activity::Flush { .. } => {
                     for v in &mut self.versions {
@@ -2270,5 +2390,64 @@ mod tests {
         };
         let calibrated = run_zoo(ScheduleKind::PipeDreamAsync, Some(cal)).steady_throughput(16);
         assert!(calibrated < raw, "calibrated {calibrated} >= raw {raw}");
+    }
+
+    #[test]
+    fn lone_flow_rate_is_the_fill_bit_for_bit() {
+        let up = |s| LinkId::Up(ServerId(s));
+        let down = |s| LinkId::Down(ServerId(s));
+        let paths = [
+            vec![],
+            vec![up(0)],
+            vec![up(0), down(1)],
+            vec![up(1), down(0)],
+            // A ring pass, and a path that lists a link twice.
+            vec![up(0), down(1), up(1), down(2), up(2), down(0)],
+            vec![up(2), up(2), down(1)],
+        ];
+        let mut rng = ap_rng::Rng::seed_from_u64(21);
+        let mut fs = FairShare::default();
+        for trial in 0..500 {
+            // Six links: capacities from zero through NIC rates to
+            // unbounded, with repeats so that ties happen.
+            let caps: Vec<f64> = (0..6)
+                .map(|_| match rng.gen_range(0..6u32) {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    2 => gbps(10.0) * 0.9,
+                    _ => rng.f64() * gbps(100.0),
+                })
+                .collect();
+            let capacity = |l: LinkId| caps[link_slot(l)];
+            let local_rate = gbps(96.0) * (1.0 + trial as f64);
+            for path in &paths {
+                let flow = Flow::elastic(path.clone());
+                let want = max_min_fair_rates([&flow], capacity, local_rate, &mut fs)[0];
+                let got = lone_flow_rate(path, capacity, local_rate);
+                assert_eq!(got.to_bits(), want.to_bits(), "{path:?} over {caps:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ready_queue_orders_and_dedups_like_an_ordered_set() {
+        let mut rng = ap_rng::Rng::seed_from_u64(3);
+        let mut queue = ReadyQueue::default();
+        let mut set = BTreeSet::new();
+        for _ in 0..2000 {
+            let key = (
+                rng.gen_range(0..2u32) as u8,
+                rng.gen_range(0..12u64),
+                rng.gen_range(0..3usize),
+            );
+            if rng.gen_range(0..3u32) == 0 {
+                queue.remove(key);
+                set.remove(&key);
+            } else {
+                queue.insert(key);
+                set.insert(key);
+            }
+            assert!(queue.0.iter().eq(set.iter()));
+        }
     }
 }

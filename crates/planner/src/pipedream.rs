@@ -81,46 +81,58 @@ pub fn pipedream_plan(
     let l = profile.n_layers();
     let n = available.len();
     assert!(l > 0 && n > 0, "empty problem");
-    // a[j][m]: bottleneck for layers 0..=j (inclusive) with m+1 machines.
-    let mut a = vec![vec![f64::INFINITY; n]; l];
-    // choice[j][m] = None -> single stage; Some((i, mp)) -> last stage is
-    // layers i+1..=j on mp+1 machines.
-    let mut choice: Vec<Vec<Option<(usize, usize)>>> = vec![vec![None; n]; l];
+    // Row-major tables with one row per j and one column per m.
+    // a[j * n + m]: bottleneck for layers 0..=j (inclusive) with m+1
+    // machines.
+    let mut a = vec![f64::INFINITY; l * n];
+    // choice[j * n + m] = None -> single stage; Some((i, mp)) -> last
+    // stage is layers i+1..=j on mp+1 machines.
+    let mut choice: Vec<Option<(usize, usize)>> = vec![None; l * n];
+    let cut: Vec<f64> = (0..l).map(|i| cut_time(profile, i, view)).collect();
 
     for j in 0..l {
-        for m in 0..n {
-            // Option 1: a single stage 0..=j replicated on m+1 machines.
-            let mut best = stage_time(profile, 0, j + 1, m + 1, view);
-            let mut ch = None;
-            // Option 2: split after layer i, giving mp+1 machines to the
-            // last stage.
-            #[allow(clippy::needless_range_loop)] // DP index math
-            for i in 0..j {
-                for mp in 0..m {
-                    let left = a[i][m - mp - 1];
-                    if left >= best {
+        let (solved, row) = a.split_at_mut(j * n);
+        let best = &mut row[..n];
+        let chosen = &mut choice[j * n..(j + 1) * n];
+        // Option 1: a single stage 0..=j replicated on m+1 machines.
+        for (m, b) in best.iter_mut().enumerate() {
+            *b = stage_time(profile, 0, j + 1, m + 1, view);
+        }
+        // Option 2: split after layer i, giving mp+1 machines to the last
+        // stage. The machine count m is the innermost loop, so the last
+        // stage's time is computed at most once per (i, mp). For each m
+        // the splits are still tried in (i, mp) order, and only a strictly
+        // better one replaces the best, so ties keep the first split.
+        for i in 0..j {
+            let left_row = &solved[i * n..(i + 1) * n];
+            for mp in 0..n - 1 {
+                let mut right = None;
+                for m in mp + 1..n {
+                    let left = left_row[m - mp - 1];
+                    // The candidate is at least `left` and at least the
+                    // cut, so either one at `best` already loses.
+                    if left >= best[m] || cut[i] >= best[m] {
                         continue;
                     }
-                    let cut = cut_time(profile, i, view);
-                    let right = stage_time(profile, i + 1, j + 1, mp + 1, view);
-                    let cand = left.max(cut).max(right);
-                    if cand < best {
-                        best = cand;
-                        ch = Some((i, mp));
+                    let right = *right
+                        .get_or_insert_with(|| stage_time(profile, i + 1, j + 1, mp + 1, view));
+                    let cand = left.max(cut[i]).max(right);
+                    if cand < best[m] {
+                        best[m] = cand;
+                        chosen[m] = Some((i, mp));
                     }
                 }
             }
-            a[j][m] = best;
-            choice[j][m] = ch;
         }
     }
 
     // Pick the machine count with the best bottleneck (using every machine
     // is not always optimal under the DP model; PipeDream keeps spares in
     // data-parallel, we simply take the best m).
+    let last = &a[(l - 1) * n..];
     let mut best_m = 0usize;
     for m in 1..n {
-        if a[l - 1][m] < a[l - 1][best_m] {
+        if last[m] < last[best_m] {
             best_m = m;
         }
     }
@@ -130,7 +142,7 @@ pub fn pipedream_plan(
     let mut counts = Vec::new();
     let (mut j, mut m) = (l - 1, best_m);
     loop {
-        match choice[j][m] {
+        match choice[j * n + m] {
             Some((i, mp)) => {
                 bounds.push((i + 1)..(j + 1));
                 counts.push(mp + 1);

@@ -383,28 +383,6 @@ fn link_slot(link: LinkId) -> usize {
     }
 }
 
-/// The rate [`max_min_fair_rates`] gives an elastic flow that has the
-/// fabric to itself, without the fill's tables. A local flow gets
-/// `local_rate`. Otherwise the fill's first round raises the flow by the
-/// smallest finite capacity on its path; that saturates the link and
-/// freezes the flow. With no finite capacity on the path the rate is
-/// infinite.
-fn lone_flow_rate(links: &[LinkId], capacity: impl Fn(LinkId) -> f64, local_rate: f64) -> f64 {
-    if links.is_empty() {
-        return local_rate;
-    }
-    let narrowest = links
-        .iter()
-        .map(|&l| capacity(l))
-        .filter(|c| c.is_finite())
-        .fold(f64::INFINITY, f64::min);
-    if narrowest.is_finite() {
-        narrowest.max(0.0)
-    } else {
-        f64::INFINITY
-    }
-}
-
 /// One partition regime during a run. Units carry the epoch that was
 /// current when they were injected, so in-flight mini-batches drain on the
 /// old assignment while new ones use the new — AutoPipe's fine-grained
@@ -928,31 +906,23 @@ impl<'a> Engine<'a> {
     }
 
     /// Solve every transfer's max-min fair rate over the cached link
-    /// capacities and store it on the transfer. One live transfer skips
-    /// the fill: [`lone_flow_rate`] is its exact answer.
+    /// capacities and store it on the transfer.
     fn solve_transfer_rates(&mut self) {
         self.rates_dirty = false;
         let caps = &self.link_caps;
         let capacity = |l: LinkId| caps[link_slot(l)];
-        let local_rate = self.state.topology.local_bytes_per_sec;
-        let mut transfers = self.activities.iter_mut().filter_map(|a| match a {
-            Activity::Transfer { flow, rate, .. } => Some((flow, rate)),
-            _ => None,
-        });
-        let Some((flow, rate)) = transfers.next() else {
-            return;
-        };
-        if transfers.next().is_none() {
-            *rate = lone_flow_rate(&flow.links, capacity, local_rate);
-            return;
-        }
         let flows = self.activities.iter().filter_map(|a| match a {
             Activity::Transfer { flow, .. } => Some(flow),
             _ => None,
         });
-        let mut solved = max_min_fair_rates(flows, capacity, local_rate, &mut self.fair_share)
-            .iter()
-            .copied();
+        let mut solved = max_min_fair_rates(
+            flows,
+            capacity,
+            self.state.topology.local_bytes_per_sec,
+            &mut self.fair_share,
+        )
+        .iter()
+        .copied();
         for a in &mut self.activities {
             if let Activity::Transfer { rate, .. } = a {
                 *rate = solved.next().expect("one solved rate per transfer");
@@ -2390,43 +2360,6 @@ mod tests {
         };
         let calibrated = run_zoo(ScheduleKind::PipeDreamAsync, Some(cal)).steady_throughput(16);
         assert!(calibrated < raw, "calibrated {calibrated} >= raw {raw}");
-    }
-
-    #[test]
-    fn lone_flow_rate_is_the_fill_bit_for_bit() {
-        let up = |s| LinkId::Up(ServerId(s));
-        let down = |s| LinkId::Down(ServerId(s));
-        let paths = [
-            vec![],
-            vec![up(0)],
-            vec![up(0), down(1)],
-            vec![up(1), down(0)],
-            // A ring pass, and a path that lists a link twice.
-            vec![up(0), down(1), up(1), down(2), up(2), down(0)],
-            vec![up(2), up(2), down(1)],
-        ];
-        let mut rng = ap_rng::Rng::seed_from_u64(21);
-        let mut fs = FairShare::default();
-        for trial in 0..500 {
-            // Six links: capacities from zero through NIC rates to
-            // unbounded, with repeats so that ties happen.
-            let caps: Vec<f64> = (0..6)
-                .map(|_| match rng.gen_range(0..6u32) {
-                    0 => 0.0,
-                    1 => f64::INFINITY,
-                    2 => gbps(10.0) * 0.9,
-                    _ => rng.f64() * gbps(100.0),
-                })
-                .collect();
-            let capacity = |l: LinkId| caps[link_slot(l)];
-            let local_rate = gbps(96.0) * (1.0 + trial as f64);
-            for path in &paths {
-                let flow = Flow::elastic(path.clone());
-                let want = max_min_fair_rates([&flow], capacity, local_rate, &mut fs)[0];
-                let got = lone_flow_rate(path, capacity, local_rate);
-                assert_eq!(got.to_bits(), want.to_bits(), "{path:?} over {caps:?}");
-            }
-        }
     }
 
     #[test]

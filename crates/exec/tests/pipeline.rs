@@ -77,16 +77,33 @@ fn in_flight_one_pipeline_matches_sequential_sgd_bit_exactly() {
 fn numerics_are_independent_of_bandwidth_throttle() {
     // Static schedules mean thread timing (here: a heavy throttle that
     // reshuffles real arrival times) cannot change any weight update.
+    // Slow enough that the throttle's floor below is several times the
+    // unthrottled run's wall time.
+    let bytes_per_sec = 2e5;
     let fast = run_pipeline(&base_spec()).expect("unthrottled run");
     let slow = run_pipeline(&ExecSpec {
-        bytes_per_sec: Some(2e6),
+        bytes_per_sec: Some(bytes_per_sec),
         ..base_spec()
     })
     .expect("throttled run");
     assert_eq!(fast.losses, slow.losses, "losses must be bit-identical");
     let (fw, sw) = (stitched_weights(&fast), stitched_weights(&slow));
     assert_eq!(fw, sw, "final weights must be bit-identical");
-    assert!(slow.wall_seconds > fast.wall_seconds, "throttle must bite");
+    // The throttle serializes each channel, so the throttled run lasts at
+    // least as long as its busiest channel takes to drain (less at most a
+    // nanosecond of rounding per frame). Load can only add time.
+    let busiest = slow
+        .fwd_channels
+        .iter()
+        .chain(&slow.bwd_channels)
+        .max_by_key(|c| c.bytes)
+        .expect("a multi-stage run has channels");
+    let floor = busiest.bytes as f64 / bytes_per_sec - busiest.frames as f64 * 1e-9;
+    assert!(
+        slow.wall_seconds >= floor,
+        "throttle must bite: {} s < {floor} s",
+        slow.wall_seconds
+    );
 }
 
 #[test]

@@ -16,6 +16,17 @@
 //! footprint is the high-water mark of that sum over the stage's whole op
 //! sequence — a closed function of (model, partition, schedule,
 //! in_flight), because the op sequence itself is.
+//!
+//! What is live after each op (`V(t)` and the unit counts behind `A(t)`)
+//! depends only on the program, so the walk is split in two: a structural
+//! step lists a stage's distinct live states, walked once per (schedule,
+//! stages, depth, recompute discard) and kept in a bounded per-thread
+//! memo, and a pricing step finds the peak among them for given bytes.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::rc::Rc;
 
 use ap_ir::{generate, IrOp, Program, UnitId};
 use ap_models::ModelProfile;
@@ -172,21 +183,31 @@ impl LiveVersions {
     }
 }
 
-/// Walk one stage of `program`, pricing weights at `weight_bytes` per
-/// copy, a full in-flight unit at `act_full` and an input-only
-/// (recompute-pending) unit at `act_input`.
+/// One distinct instant of a stage's walk: what is live, not what it
+/// costs. A stage's states depend only on the schedule program, never on
+/// the model's bytes, so [`footprint`] walks each program once and prices
+/// the states many times.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WalkState {
+    /// Distinct weight versions live (0 before the first stash).
+    versions: usize,
+    /// In-flight units holding their full activations.
+    full: usize,
+    /// In-flight units holding only their boundary input (recompute
+    /// pending).
+    input_only: usize,
+    /// A fused forward-loss-backward op is running: its unit's
+    /// activations exist for this op only.
+    fused: bool,
+}
+
+/// The distinct states of one stage's walk over `program`, in first-seen
+/// order.
 ///
 /// Units and weight versions get dense ids (offsets from the stage's
 /// smallest mini-batch and version), so the walk keeps its live sets in
 /// flat arrays sized once per stage.
-pub fn walk_stage(
-    program: &Program,
-    stage: usize,
-    weight_bytes: f64,
-    act_full: f64,
-    act_input: f64,
-    model: &MemoryModel,
-) -> StageFootprint {
+fn walk_states(program: &Program, stage: usize, recompute_discard: bool) -> Vec<WalkState> {
     let ops = &program.stages[stage].ops;
     let unit_of = |op: &IrOp| match *op {
         IrOp::StashPush { unit, .. }
@@ -224,18 +245,9 @@ pub fn walk_stage(
     let mut live = LiveVersions::new(n_units, n_versions);
     let mut full = UnitSet::new(n_units);
     let mut input_only = UnitSet::new(n_units);
-    let mut peak_bytes = 0.0f64;
-    let mut at_peak = (1usize, 0usize, 0.0f64); // versions, units, act bytes
-    let mut sample = |versions: usize, units: usize, act: f64| {
-        let v = versions.max(1);
-        let bytes = (v - 1) as f64 * weight_bytes + act;
-        if bytes > peak_bytes {
-            peak_bytes = bytes;
-            at_peak = (v, units, act);
-        }
-    };
+    let mut states = Vec::new();
     for op in ops {
-        let mut transient = 0.0;
+        let mut fused = false;
         match *op {
             IrOp::StashPush {
                 unit,
@@ -244,7 +256,7 @@ pub fn walk_stage(
             IrOp::StashPop { unit } => live.release(id(unit)),
             IrOp::Forward { unit } => {
                 let u = id(unit);
-                if model.recompute_discard && recomputed[u] {
+                if recompute_discard && recomputed[u] {
                     input_only.insert(u);
                 } else {
                     full.insert(u);
@@ -261,18 +273,52 @@ pub fn walk_stage(
                 input_only.remove(u);
             }
             IrOp::FusedFwdLossBwd { unit } => {
-                // Forward + loss + backward atomically: the unit's
-                // activations exist only for the duration of this op.
                 live.release(id(unit));
-                transient = act_full;
+                fused = true;
             }
             IrOp::Recv { .. } | IrOp::Send { .. } | IrOp::ApplyUpdate { .. } => {}
         }
-        let act = full.len as f64 * act_full + input_only.len as f64 * act_input + transient;
-        let units = full.len + input_only.len + if transient > 0.0 { 1 } else { 0 };
-        sample(live.distinct, units, act);
+        let state = WalkState {
+            versions: live.distinct,
+            full: full.len,
+            input_only: input_only.len,
+            fused,
+        };
+        if !states.contains(&state) {
+            states.push(state);
+        }
     }
-    let (versions, units, act) = at_peak;
+    states
+}
+
+/// Price a stage's walk states, pricing weights at `weight_bytes` per
+/// copy, a full in-flight unit at `act_full` and an input-only unit at
+/// `act_input`: the peak is the first state of strictly greatest
+/// `(versions − 1)·weight + activations`. A repeated state prices the same
+/// as its first occurrence, so pricing the distinct states in first-seen
+/// order finds the same peak as pricing every op of the walk.
+fn price_states(
+    states: &[WalkState],
+    stage: usize,
+    weight_bytes: f64,
+    act_full: f64,
+    act_input: f64,
+    model: &MemoryModel,
+) -> StageFootprint {
+    let mut peak_bytes = 0.0f64;
+    let (mut versions, mut units, mut act) = (1usize, 0usize, 0.0f64);
+    for s in states {
+        let transient = if s.fused { act_full } else { 0.0 };
+        let a = s.full as f64 * act_full + s.input_only as f64 * act_input + transient;
+        let v = s.versions.max(1);
+        let bytes = (v - 1) as f64 * weight_bytes + a;
+        if bytes > peak_bytes {
+            peak_bytes = bytes;
+            versions = v;
+            units = s.full + s.input_only + usize::from(transient > 0.0);
+            act = a;
+        }
+    }
     StageFootprint {
         stage,
         weight_bytes,
@@ -285,10 +331,83 @@ pub fn walk_stage(
     }
 }
 
+/// Walk one stage of `program`, pricing weights at `weight_bytes` per
+/// copy, a full in-flight unit at `act_full` and an input-only
+/// (recompute-pending) unit at `act_input`.
+pub fn walk_stage(
+    program: &Program,
+    stage: usize,
+    weight_bytes: f64,
+    act_full: f64,
+    act_input: f64,
+    model: &MemoryModel,
+) -> StageFootprint {
+    let states = walk_states(program, stage, model.recompute_discard);
+    price_states(&states, stage, weight_bytes, act_full, act_input, model)
+}
+
 /// Mini-batches needed for a representative steady-state program: enough
 /// to fill the pipeline, cycle a full 2BW generation, and drain.
 fn representative_total(n_stages: usize, in_flight: usize) -> u64 {
     (2 * (n_stages + in_flight)).max(4) as u64
+}
+
+/// What a stage's walk states are a function of: the schedule, the stage
+/// count, the in-flight depth and whether recompute discards activations.
+type MemoKey = (ScheduleKind, usize, usize, bool);
+
+/// Most program structures one thread's memo holds; a full memo is
+/// emptied before the next insert.
+const MEMO_CAP: usize = 256;
+
+thread_local! {
+    /// Per-stage walk states of the representative program, per key.
+    static MEMO: RefCell<HashMap<MemoKey, Rc<[Vec<WalkState>]>>> =
+        RefCell::new(HashMap::new());
+}
+
+/// The per-stage walk states of `kind`'s representative program, walked
+/// once per key and thread.
+fn program_states(
+    kind: ScheduleKind,
+    n_stages: usize,
+    in_flight: usize,
+    recompute_discard: bool,
+) -> Rc<[Vec<WalkState>]> {
+    let key = (kind, n_stages, in_flight, recompute_discard);
+    if let Some(hit) = MEMO.with(|m| m.borrow().get(&key).cloned()) {
+        return hit;
+    }
+    let total = representative_total(n_stages, in_flight);
+    let program = generate(kind, n_stages, total, in_flight);
+    let states: Rc<[Vec<WalkState>]> = (0..n_stages)
+        .map(|s| walk_states(&program, s, recompute_discard))
+        .collect();
+    MEMO.with(|m| {
+        let mut m = m.borrow_mut();
+        if m.len() >= MEMO_CAP {
+            m.clear();
+        }
+        m.insert(key, Rc::clone(&states));
+    });
+    states
+}
+
+/// A stage's weight bytes, full per-unit activation bytes and input-only
+/// per-unit bytes, for `m` micro-batches per mini-batch.
+fn stage_bytes(profile: &ModelProfile, layers: &Range<usize>, m: f64) -> (f64, f64, f64) {
+    let (lo, hi) = (layers.start, layers.end);
+    let weight_bytes = profile.range_params(lo, hi);
+    // The input a unit carries into the stage: the upstream cut's
+    // activation; for stage 0 the data batch, approximated by the first
+    // layer's output (profiles do not record input dims).
+    let input = if lo > 0 {
+        profile.out_bytes[lo - 1]
+    } else {
+        profile.out_bytes[0]
+    };
+    let acts: f64 = (lo..hi).map(|j| profile.out_bytes[j]).sum();
+    (weight_bytes, (input + acts) / m, input / m)
 }
 
 /// Per-stage high-water footprints of `partition` running `kind` on
@@ -300,34 +419,21 @@ pub fn footprint(
     kind: ScheduleKind,
     model: &MemoryModel,
 ) -> Vec<StageFootprint> {
-    let n_stages = partition.n_stages();
-    let total = representative_total(n_stages, partition.in_flight);
-    let program = generate(kind, n_stages, total, partition.in_flight);
+    let states = program_states(
+        kind,
+        partition.n_stages(),
+        partition.in_flight,
+        model.recompute_discard,
+    );
     let m = kind.micro_batches() as f64;
     partition
         .stages
         .iter()
+        .zip(states.iter())
         .enumerate()
-        .map(|(s, st)| {
-            let (lo, hi) = (st.layers.start, st.layers.end);
-            let weight_bytes = profile.range_params(lo, hi);
-            // The input a unit carries into the stage: the upstream cut's
-            // activation; for stage 0 the data batch, approximated by the
-            // first layer's output (profiles do not record input dims).
-            let input = if lo > 0 {
-                profile.out_bytes[lo - 1]
-            } else {
-                profile.out_bytes[0]
-            };
-            let acts: f64 = (lo..hi).map(|j| profile.out_bytes[j]).sum();
-            walk_stage(
-                &program,
-                s,
-                weight_bytes,
-                (input + acts) / m,
-                input / m,
-                model,
-            )
+        .map(|(s, (st, states))| {
+            let (weight, full, input) = stage_bytes(profile, &st.layers, m);
+            price_states(states, s, weight, full, input, model)
         })
         .collect()
 }
@@ -338,6 +444,7 @@ mod tests {
     use ap_cluster::GpuId;
     use ap_models::{bert48, vgg16, ModelProfile};
     use ap_pipesim::Stage;
+    use ap_rng::Rng;
 
     fn two_stage(l: usize, in_flight: usize) -> Partition {
         Partition {
@@ -446,5 +553,99 @@ mod tests {
         assert!(three < one);
         let static_part = f.weight_bytes + f.grad_bytes + f.optimizer_bytes + f.stash_bytes;
         assert!(three >= static_part);
+    }
+
+    /// A profile of `n_layers` layers whose activation and parameter
+    /// bytes are random (a quarter of them zero), or all zero.
+    fn random_profile(rng: &mut Rng, n_layers: usize, acts: bool, weights: bool) -> ModelProfile {
+        let mut draw = |on: bool| -> Vec<f64> {
+            (0..n_layers)
+                .map(|_| {
+                    if on && rng.gen_range(0..4u32) > 0 {
+                        rng.f64() * 1e6
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        };
+        let out = draw(acts);
+        let params = draw(weights);
+        let flops = vec![1e9; n_layers];
+        ModelProfile::from_raw("random", 8, out.clone(), out, params, flops.clone(), flops)
+    }
+
+    /// Every field of a footprint, floats as bits.
+    fn bits(f: &StageFootprint) -> (usize, [u64; 5], usize, usize) {
+        let bytes = [
+            f.weight_bytes,
+            f.grad_bytes,
+            f.optimizer_bytes,
+            f.stash_bytes,
+            f.activation_bytes,
+        ];
+        (
+            f.stage,
+            bytes.map(f64::to_bits),
+            f.weight_versions,
+            f.peak_units,
+        )
+    }
+
+    #[test]
+    fn memoized_footprint_matches_a_fresh_walk_bit_for_bit() {
+        let mut rng = Rng::seed_from_u64(22);
+        for kind in ScheduleKind::zoo() {
+            let m = kind.micro_batches() as f64;
+            for n_stages in 1..=8usize {
+                for in_flight in 1..=12usize {
+                    let total = representative_total(n_stages, in_flight);
+                    let program = generate(kind, n_stages, total, in_flight);
+                    let part = Partition {
+                        stages: (0..n_stages)
+                            .map(|s| Stage::new(2 * s..2 * s + 2, vec![GpuId(s)]))
+                            .collect(),
+                        in_flight,
+                    };
+                    for discard in [true, false] {
+                        let model = MemoryModel {
+                            recompute_discard: discard,
+                            ..MemoryModel::default()
+                        };
+                        // Zero activations (no fused transient unit), zero
+                        // weights, then random bytes; the later profiles
+                        // hit the memo the first one filled.
+                        for (acts, weights) in [(false, true), (true, false), (true, true)] {
+                            let profile = random_profile(&mut rng, 2 * n_stages, acts, weights);
+                            let got = footprint(&profile, &part, kind, &model);
+                            assert_eq!(got.len(), n_stages);
+                            for (s, st) in part.stages.iter().enumerate() {
+                                let (w, full, input) = stage_bytes(&profile, &st.layers, m);
+                                let want = walk_stage(&program, s, w, full, input, &model);
+                                assert_eq!(
+                                    bits(&got[s]),
+                                    bits(&want),
+                                    "{} {n_stages} {in_flight} {discard} stage {s}",
+                                    kind.id()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_keys_never_grow_the_memo_past_its_cap() {
+        let kind = ScheduleKind::PipeDreamAsync;
+        let len = || MEMO.with(|m| m.borrow().len());
+        for in_flight in 1..=MEMO_CAP + 40 {
+            program_states(kind, 1, in_flight, true);
+            assert!(len() <= MEMO_CAP, "depth {in_flight}: {} entries", len());
+            if in_flight == MEMO_CAP {
+                assert_eq!(len(), MEMO_CAP, "every distinct key was kept");
+            }
+        }
     }
 }

@@ -2383,4 +2383,66 @@ mod tests {
             assert!(queue.0.iter().eq(set.iter()));
         }
     }
+
+    #[test]
+    fn stranding_a_unit_solves_the_surviving_transfer_rates_again() {
+        // Two stages on two servers: every stage-0 -> stage-1 transfer
+        // crosses server 0's uplink and server 1's downlink.
+        let topo = ClusterTopology::single_switch(2, 1, GpuKind::P100, 10.0);
+        let model = synthetic_uniform(4, 2e9, 4e6, 8e6);
+        let profile = ModelProfile::with_batch(&model, 32);
+        let partition = Partition {
+            stages: vec![
+                Stage::new(0..2, vec![GpuId(0)]),
+                Stage::new(2..4, vec![GpuId(1)]),
+            ],
+            in_flight: 2,
+        };
+        let mut eng = Engine::new(
+            &profile,
+            partition,
+            ClusterState::new(topo),
+            ResourceTimeline::empty(),
+            EngineConfig::default(),
+        )
+        .expect("valid");
+        let feed = |unit| Task {
+            unit,
+            stage: 1,
+            kind: WorkKind::Forward,
+        };
+        eng.launch_transfer(0, feed(0), 1e9);
+        eng.launch_transfer(0, feed(1), 1e9);
+        eng.solve_transfer_rates();
+        let rates = |eng: &Engine| -> Vec<(u64, f64)> {
+            eng.activities
+                .iter()
+                .filter_map(|a| match a {
+                    Activity::Transfer {
+                        unlocks: Unlock::Task(t),
+                        rate,
+                        ..
+                    } => Some((t.unit, *rate)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let shared = rates(&eng);
+        assert_eq!(shared.len(), 2);
+        assert_eq!(shared[0].1, shared[1].1, "two flows split the links");
+        // The purge drops unit 0's transfer; a tick then solves again only
+        // if the purge marked the rates dirty.
+        eng.strand_unit(0);
+        if eng.rates_dirty {
+            eng.solve_transfer_rates();
+        }
+        let alone = rates(&eng);
+        assert_eq!(alone.len(), 1);
+        assert_eq!(alone[0].0, 1);
+        assert_eq!(
+            alone[0].1,
+            2.0 * shared[1].1,
+            "the survivor takes the whole link"
+        );
+    }
 }

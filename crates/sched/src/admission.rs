@@ -109,25 +109,31 @@ pub fn select_footprint(
     index: &ContentionIndex,
     cfg: &AdmissionConfig,
 ) -> Result<Vec<GpuId>, QueueReason> {
-    let candidates: Vec<(usize, GpuId)> = state
-        .available_workers()
-        .into_iter()
-        .map(|g| (index.residency(g), g))
-        .filter(|&(load, _)| load < cfg.max_share)
-        .collect();
-    if candidates.len() < wanted {
-        return Err(QueueReason::GpuSharesExhausted);
-    }
-    Ok(least_loaded(candidates, wanted))
+    least_loaded(index, wanted, cfg.max_share, |g| state.is_available(g))
+        .ok_or(QueueReason::GpuSharesExhausted)
 }
 
-/// The GPUs of the `n` smallest `(load, gpu)` pairs, in id order.
-pub(crate) fn least_loaded(mut candidates: Vec<(usize, GpuId)>, n: usize) -> Vec<GpuId> {
-    candidates.sort_unstable();
-    candidates.truncate(n);
-    let mut chosen: Vec<GpuId> = candidates.into_iter().map(|(_, g)| g).collect();
+/// The first `wanted` GPUs in `(load, id)` order that fewer than
+/// `max_share` jobs time-slice and that pass `usable`, in id order;
+/// `None` when fewer qualify. Walks the index's load buckets, so it reads
+/// the GPUs it takes and the ones `usable` rejects, never the whole
+/// fabric.
+pub(crate) fn least_loaded(
+    index: &ContentionIndex,
+    wanted: usize,
+    max_share: usize,
+    usable: impl Fn(GpuId) -> bool,
+) -> Option<Vec<GpuId>> {
+    let mut chosen: Vec<GpuId> = index
+        .by_load_below(max_share)
+        .filter(|&g| usable(g))
+        .take(wanted)
+        .collect();
+    if chosen.len() < wanted {
+        return None;
+    }
     chosen.sort_unstable();
-    chosen
+    Some(chosen)
 }
 
 /// Does a job emitting `net_bytes_per_sec` onto each touched server link
@@ -184,26 +190,28 @@ mod tests {
     #[test]
     fn footprint_prefers_least_loaded_gpus() {
         let st = state();
-        let mut ix = ContentionIndex::new();
+        let mut ix = ContentionIndex::new(&st.topology);
         ix.insert(&st.topology, JobId(1), &[GpuId(0), GpuId(1)]);
         let cfg = AdmissionConfig::default();
         let got = select_footprint(2, &st, &ix, &cfg).expect("fits");
         assert_eq!(got, vec![GpuId(2), GpuId(3)], "idle GPUs win, id order");
     }
 
-    /// The selection `select_footprint` made before it read each GPU's
-    /// load once: sort every candidate by `(load, id)`, keep `wanted`,
+    /// The selection `select_footprint` (and `evacuate`, with the
+    /// surviving footprint in `exclude`) made before the index kept load
+    /// buckets: sort every live candidate by `(load, id)`, keep `wanted`,
     /// re-sort by id.
     fn sorted_selection(
         wanted: usize,
         st: &ClusterState,
         ix: &ContentionIndex,
         cfg: &AdmissionConfig,
+        exclude: &[GpuId],
     ) -> Result<Vec<GpuId>, QueueReason> {
         let mut c: Vec<GpuId> = st
             .available_workers()
             .into_iter()
-            .filter(|&g| ix.residency(g) < cfg.max_share)
+            .filter(|&g| !exclude.contains(&g) && ix.residency(g) < cfg.max_share)
             .collect();
         if c.len() < wanted {
             return Err(QueueReason::GpuSharesExhausted);
@@ -221,10 +229,17 @@ mod tests {
             // 6 servers x 4 GPUs; few load levels, so ties are common.
             let mut st =
                 ClusterState::new(ClusterTopology::single_switch(6, 4, GpuKind::P100, 25.0));
-            let mut ix = ContentionIndex::new();
+            let mut ix = ContentionIndex::new(&st.topology);
+            let mut placed = Vec::new();
             for j in 0..rng.gen_range(0..40u64) {
                 let g = GpuId(rng.gen_range(0..24usize));
                 ix.insert(&st.topology, JobId(j), &[g]);
+                placed.push((JobId(j), g));
+            }
+            // Departures move GPUs back down the load buckets.
+            for _ in 0..rng.gen_range(0..=placed.len()) {
+                let (job, g) = placed.swap_remove(rng.gen_range(0..placed.len()));
+                ix.remove(&st.topology, job, &[g]);
             }
             for _ in 0..rng.gen_range(0..4u32) {
                 st.apply(&EventKind::WorkerFail(GpuId(rng.gen_range(0..24usize))));
@@ -236,8 +251,21 @@ mod tests {
             let wanted = rng.gen_range(1..=24usize);
             assert_eq!(
                 select_footprint(wanted, &st, &ix, &cfg),
-                sorted_selection(wanted, &st, &ix, &cfg),
+                sorted_selection(wanted, &st, &ix, &cfg, &[]),
                 "trial {trial}"
+            );
+            // Evacuation's replacements: the surviving footprint is
+            // excluded.
+            let survivors: Vec<GpuId> = (0..rng.gen_range(0..6usize))
+                .map(|_| GpuId(rng.gen_range(0..24usize)))
+                .collect();
+            let missing = rng.gen_range(0..=8usize);
+            let usable = |g| st.is_available(g) && !survivors.contains(&g);
+            assert_eq!(
+                least_loaded(&ix, missing, cfg.max_share, usable)
+                    .ok_or(QueueReason::GpuSharesExhausted),
+                sorted_selection(missing, &st, &ix, &cfg, &survivors),
+                "trial {trial}, excluding {survivors:?}"
             );
         }
     }
@@ -245,7 +273,7 @@ mod tests {
     #[test]
     fn cap_exhaustion_queues() {
         let st = state();
-        let mut ix = ContentionIndex::new();
+        let mut ix = ContentionIndex::new(&st.topology);
         let cfg = AdmissionConfig {
             max_share: 1,
             ..AdmissionConfig::default()
@@ -263,7 +291,7 @@ mod tests {
     fn failed_workers_are_not_candidates() {
         let mut st = state();
         st.apply(&EventKind::WorkerFail(GpuId(0)));
-        let ix = ContentionIndex::new();
+        let ix = ContentionIndex::new(&st.topology);
         let cfg = AdmissionConfig::default();
         let got = select_footprint(6, &st, &ix, &cfg);
         assert_eq!(got, Err(QueueReason::GpuSharesExhausted), "only 5 alive");

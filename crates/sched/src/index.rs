@@ -1,12 +1,15 @@
 //! The contention index: reverse maps from GPUs and server uplinks to the
-//! jobs resident on them.
+//! jobs resident on them, and the GPUs bucketed by how many jobs they
+//! host.
 //!
 //! Neighborhood re-planning (DESIGN.md §12) needs "which jobs does this
 //! event touch?" answered in O(degree), not O(jobs): two jobs contend
 //! either by **time-slicing a GPU** or by **sharing a server's up/down
 //! links** (the single-switch fabric means every cross-server byte crosses
 //! exactly the two endpoints' links, so link contention collapses to
-//! server co-residency). The index is maintained incrementally on every
+//! server co-residency). Admission needs "which GPUs are least loaded?"
+//! answered in O(footprint), not O(fabric): the load buckets list the GPUs
+//! in `(load, id)` order. The index is maintained incrementally on every
 //! placement change; all containers are B-trees so iteration order — and
 //! therefore every downstream planning decision — is deterministic.
 
@@ -16,23 +19,53 @@ use ap_cluster::{ClusterTopology, GpuId, ServerId};
 
 use crate::scheduler::JobId;
 
-/// Reverse index: GPU → resident jobs, server → jobs with a worker there.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// Reverse index: GPU → resident jobs, server → jobs with a worker there,
+/// load → GPUs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContentionIndex {
     by_gpu: BTreeMap<GpuId, BTreeSet<JobId>>,
     by_server: BTreeMap<ServerId, BTreeSet<JobId>>,
+    /// `by_load[l]`: the GPUs `l` jobs time-slice. Every GPU of the fabric
+    /// is in exactly one bucket, and the last bucket is never empty, so
+    /// equal indexes compare equal.
+    by_load: Vec<BTreeSet<GpuId>>,
 }
 
 impl ContentionIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        ContentionIndex::default()
+    /// An empty index over `topo`'s GPUs, all at load 0.
+    pub fn new(topo: &ClusterTopology) -> Self {
+        let idle: BTreeSet<GpuId> = (0..topo.n_gpus()).map(GpuId).collect();
+        ContentionIndex {
+            by_gpu: BTreeMap::new(),
+            by_server: BTreeMap::new(),
+            by_load: if idle.is_empty() {
+                Vec::new()
+            } else {
+                vec![idle]
+            },
+        }
+    }
+
+    /// Move `gpu` from load bucket `from` to `to`.
+    fn reload(&mut self, gpu: GpuId, from: usize, to: usize) {
+        self.by_load[from].remove(&gpu);
+        if to == self.by_load.len() {
+            self.by_load.push(BTreeSet::new());
+        }
+        self.by_load[to].insert(gpu);
+        while self.by_load.last().is_some_and(BTreeSet::is_empty) {
+            self.by_load.pop();
+        }
     }
 
     /// Record `job` as resident on `gpus`.
     pub fn insert(&mut self, topo: &ClusterTopology, job: JobId, gpus: &[GpuId]) {
         for &g in gpus {
-            self.by_gpu.entry(g).or_default().insert(job);
+            let jobs = self.by_gpu.entry(g).or_default();
+            if jobs.insert(job) {
+                let load = jobs.len();
+                self.reload(g, load - 1, load);
+            }
             self.by_server
                 .entry(topo.server_of(g))
                 .or_default()
@@ -45,9 +78,12 @@ impl ContentionIndex {
     pub fn remove(&mut self, topo: &ClusterTopology, job: JobId, gpus: &[GpuId]) {
         for &g in gpus {
             if let Some(set) = self.by_gpu.get_mut(&g) {
-                set.remove(&job);
-                if set.is_empty() {
-                    self.by_gpu.remove(&g);
+                if set.remove(&job) {
+                    let load = set.len();
+                    if load == 0 {
+                        self.by_gpu.remove(&g);
+                    }
+                    self.reload(g, load + 1, load);
                 }
             }
         }
@@ -74,6 +110,12 @@ impl ContentionIndex {
     /// Number of jobs time-slicing `gpu` right now.
     pub fn residency(&self, gpu: GpuId) -> usize {
         self.by_gpu.get(&gpu).map_or(0, BTreeSet::len)
+    }
+
+    /// The GPUs fewer than `max_share` jobs time-slice, in `(load, id)`
+    /// order. Lazy: a caller that stops after `k` GPUs touches only those.
+    pub(crate) fn by_load_below(&self, max_share: usize) -> impl Iterator<Item = GpuId> + '_ {
+        self.by_load.iter().take(max_share).flatten().copied()
     }
 
     /// Jobs resident on `gpu`.
@@ -113,7 +155,7 @@ mod tests {
     #[test]
     fn neighborhood_is_gpu_and_server_union() {
         let t = topo();
-        let mut ix = ContentionIndex::new();
+        let mut ix = ContentionIndex::new(&t);
         ix.insert(&t, JobId(1), &[GpuId(0)]); // server 0
         ix.insert(&t, JobId(2), &[GpuId(1)]); // server 0, other GPU
         ix.insert(&t, JobId(3), &[GpuId(2)]); // server 1
@@ -128,7 +170,7 @@ mod tests {
     #[test]
     fn remove_keeps_server_entry_while_other_gpus_remain() {
         let t = topo();
-        let mut ix = ContentionIndex::new();
+        let mut ix = ContentionIndex::new(&t);
         ix.insert(&t, JobId(7), &[GpuId(0), GpuId(1)]); // both GPUs of server 0
         ix.remove(&t, JobId(7), &[GpuId(0)]);
         // Still on server 0 through gpu 1.
@@ -146,7 +188,7 @@ mod tests {
         // 5 servers x 3 GPUs.
         let t = ClusterTopology::single_switch(5, 3, GpuKind::P100, 25.0);
         let mut rng = ap_rng::Rng::seed_from_u64(9);
-        let mut ix = ContentionIndex::new();
+        let mut ix = ContentionIndex::new(&t);
         // Each job's live GPUs, the index's ground truth.
         let mut live: BTreeMap<JobId, Vec<GpuId>> = BTreeMap::new();
         for step in 0..600u64 {
@@ -175,10 +217,20 @@ mod tests {
                     live.remove(&job);
                 }
             }
-            let mut rebuilt = ContentionIndex::new();
+            let mut rebuilt = ContentionIndex::new(&t);
             for (&job, gpus) in &live {
                 rebuilt.insert(&t, job, gpus);
             }
+            // The buckets hold every GPU once, at its residency, with no
+            // trailing empty bucket.
+            assert!(ix.by_load.last().is_none_or(|b| !b.is_empty()));
+            let mut bucketed: Vec<GpuId> = ix.by_load.iter().flatten().copied().collect();
+            bucketed.sort();
+            assert_eq!(bucketed, (0..t.n_gpus()).map(GpuId).collect::<Vec<_>>());
+            for (load, gpus) in ix.by_load.iter().enumerate() {
+                assert!(gpus.iter().all(|&g| ix.residency(g) == load), "step {step}");
+            }
+            assert_eq!(ix.by_load, rebuilt.by_load, "step {step}");
             assert_eq!(ix, rebuilt, "step {step}");
         }
     }
@@ -186,7 +238,7 @@ mod tests {
     #[test]
     fn residency_counts_time_slicing() {
         let t = topo();
-        let mut ix = ContentionIndex::new();
+        let mut ix = ContentionIndex::new(&t);
         ix.insert(&t, JobId(1), &[GpuId(3)]);
         ix.insert(&t, JobId(2), &[GpuId(3)]);
         assert_eq!(ix.residency(GpuId(3)), 2);

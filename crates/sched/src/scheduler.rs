@@ -249,6 +249,7 @@ impl ClusterScheduler {
         clock: Arc<dyn Clock>,
     ) -> Self {
         let state = ClusterState::new(topo.clone());
+        let index = ContentionIndex::new(&topo);
         ClusterScheduler {
             exclusive: ClusterState::new(topo),
             cfg,
@@ -257,7 +258,7 @@ impl ClusterScheduler {
             state,
             jobs: BTreeMap::new(),
             queue: VecDeque::new(),
-            index: ContentionIndex::new(),
+            index,
             next_id: 0,
             now: 0.0,
             counters: SchedCounters::default(),
@@ -550,28 +551,24 @@ impl ClusterScheduler {
             let missing = job.partition.n_workers() - alive.len();
             // Replacement GPUs: least-loaded live devices outside the
             // surviving footprint.
-            let candidates: Vec<(usize, GpuId)> = self
-                .state
-                .available_workers()
-                .into_iter()
-                .filter(|g| !alive.contains(g))
-                .map(|g| (self.index.residency(g), g))
-                .filter(|&(load, _)| load < self.cfg.admission.max_share)
-                .collect();
+            let replacements =
+                least_loaded(&self.index, missing, self.cfg.admission.max_share, |g| {
+                    self.state.is_available(g) && !alive.contains(&g)
+                });
             let req = JobRequest {
                 name: job.name.clone(),
                 profile: job.profile.clone(),
                 gpus: job.partition.n_workers(),
                 adaptive: job.adaptive,
             };
-            if candidates.len() < missing {
+            let Some(replacements) = replacements else {
                 self.counters.queued += 1;
                 self.queue
                     .push_back((req, id, QueueReason::GpuSharesExhausted));
                 continue;
-            }
+            };
             let mut footprint = alive;
-            footprint.extend(least_loaded(candidates, missing));
+            footprint.extend(replacements);
             footprint.sort();
             let seed = self.seed_partition(&job.profile, &footprint);
             let mut refined = self

@@ -16,6 +16,7 @@
 //! response.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use ap_cluster::dynamics::BgJobId;
 use ap_cluster::{
@@ -459,7 +460,9 @@ pub const KNOWN_MODELS: &[&str] = &[
     "gpt2-medium",
 ];
 
-/// Look up a model by serving name.
+/// Look up a model by serving name. Builds the whole description, so
+/// request handling reads [`zoo_profile`] instead; this fills that table
+/// and serves `/jobs` requests that name a custom batch size.
 pub fn model_by_name(name: &str) -> Option<ModelDesc> {
     match name {
         "alexnet" => Some(ap_models::alexnet()),
@@ -476,18 +479,34 @@ pub fn model_by_name(name: &str) -> Option<ModelDesc> {
     }
 }
 
-fn model_field(obj: &Json) -> Result<String, ApiError> {
+/// The profile of a [`KNOWN_MODELS`] entry at its default batch size.
+/// The table is built once per process, on first use, so a request
+/// borrows its model's profile instead of building the model again.
+pub fn zoo_profile(name: &str) -> Option<&'static ModelProfile> {
+    static ZOO: OnceLock<Vec<ModelProfile>> = OnceLock::new();
+    let i = KNOWN_MODELS.iter().position(|&n| n == name)?;
+    let zoo = ZOO.get_or_init(|| {
+        KNOWN_MODELS
+            .iter()
+            .map(|n| ModelProfile::of(&model_by_name(n).expect("every known model builds")))
+            .collect()
+    });
+    Some(&zoo[i])
+}
+
+/// The validated `"model"` field: a name check against [`KNOWN_MODELS`].
+pub(crate) fn model_field(obj: &Json) -> Result<&str, ApiError> {
     let name = field(obj, "model")
         .ok_or_else(|| ApiError::bad_request("missing-field", "request needs a \"model\""))?
         .as_str()
         .ok_or_else(|| ApiError::bad_request("bad-field", "model must be a string"))?;
-    if model_by_name(name).is_none() {
+    if !KNOWN_MODELS.contains(&name) {
         return Err(ApiError::unprocessable(
             "unknown-model",
             format!("unknown model {name:?}; known: {}", KNOWN_MODELS.join(", ")),
         ));
     }
-    Ok(name.to_string())
+    Ok(name)
 }
 
 /// Parse the optional `"schedule"` field: a [`ScheduleKind`] id
@@ -537,7 +556,7 @@ impl PlanRequest {
             ));
         }
         Ok(PlanRequest {
-            model: model_field(v)?,
+            model: model_field(v)?.to_string(),
             cluster: ClusterSpec::from_json(field(v, "cluster"))?,
             planner: PlannerConfig::from_json(field(v, "planner"))?,
             schedule: schedule_field(v)?,
@@ -693,15 +712,14 @@ pub fn refine_plan(
     req: &PlanRequest,
     deadline: Option<&Deadline>,
 ) -> Result<RefinedPlan, ApiError> {
-    let desc = model_by_name(&req.model).expect("model validated at parse time");
-    let profile = ModelProfile::of(&desc);
+    let profile = zoo_profile(&req.model).expect("model validated at parse time");
     let state = req.cluster.to_state();
     let (scheme, framework) = experiment_env();
 
     // PipeDream's one-shot view: nominal line rate, exclusive GPUs.
     let all_gpus: Vec<GpuId> = (0..req.cluster.n_gpus()).map(GpuId).collect();
     let start = pipedream_plan(
-        &profile,
+        profile,
         &all_gpus,
         PipeDreamView {
             bandwidth: gbps(req.cluster.link_gbps),
@@ -712,7 +730,7 @@ pub fn refine_plan(
     let history = VecDeque::new();
     let ctx = ScoreCtx {
         model: AnalyticModel {
-            profile: &profile,
+            profile,
             scheme,
             framework,
             schedule: req.schedule,
@@ -751,14 +769,14 @@ pub fn refine_plan(
         analytic_of(&cand, kind)
     };
     let fit = fit_schedule(
-        &profile,
+        profile,
         &current,
         req.schedule,
         &mem_model,
         &state,
         &fit_score,
     )
-    .ok_or_else(|| memory_infeasible_error(&profile, &current, req.schedule, &mem_model, &state))?;
+    .ok_or_else(|| memory_infeasible_error(profile, &current, req.schedule, &mem_model, &state))?;
     let mut start_pred = refined.start_score;
     if fit.switched || fit.in_flight != current.in_flight {
         current.in_flight = fit.in_flight;
@@ -769,7 +787,7 @@ pub fn refine_plan(
     // candidate when even depth 1 does not fit its (different) stages.
     let mut start = start;
     let seed_depth = start.in_flight;
-    if clamp_in_flight(&profile, &mut start, fit.kind, &mem_model, &state).is_none() {
+    if clamp_in_flight(profile, &mut start, fit.kind, &mem_model, &state).is_none() {
         start = current.clone();
     }
     if fit.switched || start.in_flight != seed_depth {
@@ -793,11 +811,10 @@ pub fn refine_plan(
 /// engine and keep the faster — the accepted plan never loses to the
 /// PipeDream seed.
 pub fn verify_plan(req: &PlanRequest, refined: &RefinedPlan) -> Result<VerifiedPlan, ApiError> {
-    let desc = model_by_name(&req.model).expect("model validated at parse time");
-    let profile = ModelProfile::of(&desc);
+    let profile = zoo_profile(&req.model).expect("model validated at parse time");
     let state = req.cluster.to_state();
     let start_measured = engine_throughput(
-        &profile,
+        profile,
         &refined.start,
         &state,
         refined.schedule,
@@ -808,7 +825,7 @@ pub fn verify_plan(req: &PlanRequest, refined: &RefinedPlan) -> Result<VerifiedP
         (refined.start.clone(), start_measured, false)
     } else {
         let refined_measured = engine_throughput(
-            &profile,
+            profile,
             &refined.refined,
             &state,
             refined.schedule,
@@ -1038,14 +1055,15 @@ impl SimulateRequest {
                 "request body must be a JSON object",
             ));
         }
-        let model = model_field(v)?;
+        let model = model_field(v)?.to_string();
         let cluster = ClusterSpec::from_json(field(v, "cluster"))?;
         let partition_json = field(v, "partition").ok_or_else(|| {
             ApiError::bad_request("missing-field", "request needs a \"partition\"")
         })?;
         let partition = partition_from_json(partition_json, cluster.n_gpus())?;
-        let desc = model_by_name(&model).expect("model validated above");
-        let n_layers = desc.n_layers();
+        let n_layers = zoo_profile(&model)
+            .expect("model validated above")
+            .n_layers();
         partition
             .validate(n_layers)
             .map_err(|e| ApiError::unprocessable("invalid-partition", e.to_string()))?;
@@ -1063,8 +1081,7 @@ impl SimulateRequest {
 /// Serve a validated `/simulate` request: run the event engine, report
 /// timings.
 pub fn compute_simulate(req: &SimulateRequest) -> Result<Json, ApiError> {
-    let desc = model_by_name(&req.model).expect("model validated at parse time");
-    let profile = ModelProfile::of(&desc);
+    let profile = zoo_profile(&req.model).expect("model validated at parse time");
     let state = req.cluster.to_state();
     let (scheme, framework) = experiment_env();
     let cfg = EngineConfig {
@@ -1075,7 +1092,7 @@ pub fn compute_simulate(req: &SimulateRequest) -> Result<Json, ApiError> {
         calibration: None,
     };
     let engine = Engine::new(
-        &profile,
+        profile,
         req.partition.clone(),
         state,
         ResourceTimeline::empty(),
@@ -1120,6 +1137,48 @@ mod tests {
         .unwrap();
         assert_eq!(a.canonical_key(), b.canonical_key());
         assert_eq!(a.cluster, ClusterSpec::default_testbed());
+    }
+
+    #[test]
+    fn zoo_profiles_equal_fresh_profiles_field_by_field() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &name in KNOWN_MODELS {
+            let zoo = zoo_profile(name).unwrap();
+            let fresh = ModelProfile::of(&model_by_name(name).unwrap());
+            assert_eq!(zoo.name, fresh.name, "{name}");
+            assert_eq!(zoo.batch, fresh.batch, "{name}");
+            assert_eq!(bits(&zoo.out_bytes), bits(&fresh.out_bytes), "{name}");
+            assert_eq!(bits(&zoo.grad_bytes), bits(&fresh.grad_bytes), "{name}");
+            assert_eq!(bits(&zoo.param_bytes), bits(&fresh.param_bytes), "{name}");
+            assert_eq!(
+                bits(&zoo.eff_flops_fwd),
+                bits(&fresh.eff_flops_fwd),
+                "{name}"
+            );
+            assert_eq!(
+                bits(&zoo.eff_flops_bwd),
+                bits(&fresh.eff_flops_bwd),
+                "{name}"
+            );
+            // The prefix sums are private; every range query reads them.
+            let n = fresh.n_layers();
+            assert_eq!(zoo.n_layers(), n, "{name}");
+            for lo in 0..=n {
+                for hi in lo..=n {
+                    assert_eq!(
+                        zoo.range_work(lo, hi).to_bits(),
+                        fresh.range_work(lo, hi).to_bits(),
+                        "{name} work {lo}..{hi}"
+                    );
+                    assert_eq!(
+                        zoo.range_params(lo, hi).to_bits(),
+                        fresh.range_params(lo, hi).to_bits(),
+                        "{name} params {lo}..{hi}"
+                    );
+                }
+            }
+        }
+        assert!(zoo_profile("vgg9000").is_none());
     }
 
     #[test]
@@ -1273,13 +1332,12 @@ mod tests {
         // memory alternative (e.g. recompute) can.
         let probe = PlanRequest::from_json(&parse(r#"{"model": "bert48"}"#)).unwrap();
         let rich = refine_plan(&probe, None).unwrap();
-        let desc = model_by_name("bert48").unwrap();
-        let profile = ModelProfile::of(&desc);
+        let profile = zoo_profile("bert48").unwrap();
         let state = probe.cluster.to_state();
         let mut depth1 = rich.refined.clone();
         depth1.in_flight = 1;
         let need = mem_check(
-            &profile,
+            profile,
             &depth1,
             ScheduleKind::PipeDreamAsync,
             &MemoryModel::default(),

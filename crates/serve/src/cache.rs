@@ -7,6 +7,13 @@
 //! share an entry) and stores the finished response body. Capacity is
 //! bounded with least-recently-*used* eviction.
 //!
+//! The value type is generic. The daemon stores each entry as its
+//! rendered hit body (`Arc<str>`, with `"cached": true` already in it),
+//! so a hit clones a reference count under the lock and writes the
+//! stored bytes; nothing is deep-cloned or rendered again. The default
+//! `Json` value keeps a cache of response trees for callers that want
+//! one.
+//!
 //! Invalidation is explicit and global: when resource dynamics change in
 //! ways the cluster signature does not capture (a calibration update, a
 //! topology edit out-of-band), `POST /invalidate` bumps the generation
@@ -28,8 +35,8 @@ pub fn fnv1a64(text: &str) -> u64 {
 }
 
 /// A cached response together with its recency tick.
-struct Entry {
-    response: Json,
+struct Entry<V> {
+    response: V,
     tick: u64,
 }
 
@@ -39,9 +46,9 @@ struct Entry {
 /// tick to digest: the map's first key is always the least recently used
 /// entry, so every operation — lookup, touch, insert, evict — is
 /// O(log n), never the O(n) scan-and-shift of a recency `Vec`.
-pub struct PlanCache {
+pub struct PlanCache<V = Json> {
     capacity: usize,
-    map: HashMap<u64, Entry>,
+    map: HashMap<u64, Entry<V>>,
     /// Recency index: touch tick → digest, oldest tick first.
     recency: BTreeMap<u64, u64>,
     /// Monotone touch counter; ticks are never reused.
@@ -51,7 +58,7 @@ pub struct PlanCache {
     generation: u64,
 }
 
-impl PlanCache {
+impl<V: Clone> PlanCache<V> {
     /// An empty cache holding at most `capacity` plans.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
@@ -66,7 +73,8 @@ impl PlanCache {
     }
 
     /// Look up a digest, refreshing its recency. Counts a hit or miss.
-    pub fn get(&mut self, digest: u64) -> Option<Json> {
+    /// A hit returns a clone of the stored value.
+    pub fn get(&mut self, digest: u64) -> Option<V> {
         match self.map.contains_key(&digest) {
             true => {
                 self.hits += 1;
@@ -82,7 +90,7 @@ impl PlanCache {
 
     /// Insert a freshly computed plan, evicting the least recently used
     /// entry if full.
-    pub fn insert(&mut self, digest: u64, response: Json) {
+    pub fn insert(&mut self, digest: u64, response: V) {
         if let Some(e) = self.map.get_mut(&digest) {
             e.response = response;
             self.touch(digest);
@@ -146,6 +154,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn v(n: f64) -> Json {
         Json::Num(n)
@@ -183,6 +192,18 @@ mod tests {
         assert_eq!(c.invalidate_all(), 1);
         assert!(c.get(1).is_none());
         assert_eq!(c.invalidate_all(), 2);
+    }
+
+    #[test]
+    fn hits_share_the_stored_body() {
+        let mut c: PlanCache<Arc<str>> = PlanCache::new(2);
+        let body: Arc<str> = Arc::from("{\"cached\": true}");
+        c.insert(1, Arc::clone(&body));
+        let hit = c.get(1).unwrap();
+        assert!(
+            Arc::ptr_eq(&hit, &body),
+            "a hit clones the pointer, not the bytes"
+        );
     }
 
     #[test]

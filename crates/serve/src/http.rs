@@ -95,14 +95,15 @@ pub enum ReadError {
 /// Read one request. `draining` aborts idle waits between requests (the
 /// keep-alive case); a request whose first byte has arrived is always
 /// read to completion (or its deadline).
+///
+/// The caller sets `stream`'s read timeout to [`Timing::poll`] once per
+/// connection: each read then wakes at least that often to check the
+/// drain flag and the request deadline.
 pub fn read_request(
     stream: &mut TcpStream,
     draining: &AtomicBool,
     timing: &Timing,
 ) -> Result<Request, ReadError> {
-    stream
-        .set_read_timeout(Some(timing.poll))
-        .map_err(ReadError::Io)?;
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
     let mut started_at: Option<Instant> = None;

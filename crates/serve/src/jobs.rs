@@ -12,7 +12,7 @@ use ap_json::{Json, ToJson};
 use ap_models::ModelProfile;
 use ap_sched::{AdmitOutcome, ClusterScheduler, EventOutcome, JobId, JobRequest, RejectReason};
 
-use crate::api::{model_by_name, ApiError, GIB};
+use crate::api::{model_by_name, model_field, zoo_profile, ApiError, GIB};
 
 /// Largest accepted batch size.
 const MAX_BATCH: usize = 4096;
@@ -32,20 +32,7 @@ pub fn parse_submit(v: &Json) -> Result<JobRequest, ApiError> {
             "request body must be a JSON object",
         ));
     }
-    let model = v
-        .get("model")
-        .ok_or_else(|| ApiError::bad_request("missing-field", "request needs a \"model\""))?
-        .as_str()
-        .ok_or_else(|| ApiError::bad_request("bad-field", "model must be a string"))?;
-    let desc = model_by_name(model).ok_or_else(|| {
-        ApiError::unprocessable(
-            "unknown-model",
-            format!(
-                "unknown model {model:?}; known: {}",
-                crate::api::KNOWN_MODELS.join(", ")
-            ),
-        )
-    })?;
+    let model = model_field(v)?;
     let gpus = v
         .get("gpus")
         .ok_or_else(|| ApiError::bad_request("missing-field", "request needs a \"gpus\" count"))?
@@ -69,7 +56,7 @@ pub fn parse_submit(v: &Json) -> Result<JobRequest, ApiError> {
             .to_string(),
     };
     let profile = match v.get("batch_size") {
-        None | Some(Json::Null) => ModelProfile::of(&desc),
+        None | Some(Json::Null) => zoo_profile(model).expect("model validated above").clone(),
         Some(j) => {
             let b = j.as_usize().ok_or_else(|| {
                 ApiError::bad_request("bad-field", "batch_size must be a non-negative integer")
@@ -80,6 +67,7 @@ pub fn parse_submit(v: &Json) -> Result<JobRequest, ApiError> {
                     format!("batch_size must be in [1, {MAX_BATCH}], got {b}"),
                 ));
             }
+            let desc = model_by_name(model).expect("model validated above");
             ModelProfile::with_batch(&desc, b)
         }
     };

@@ -24,7 +24,11 @@
 //! ([`http`]), JSON via the shared [`ap_json`] crate, and a worker pool
 //! sized like [`ap_par::threads`]. In front of the planner sits an LRU
 //! **plan cache** ([`cache`]) keyed by a canonical digest of
-//! `(cluster signature, model, planner config)`, and a bounded
+//! `(cluster signature, model, planner config)`. It stores each verified
+//! answer as its rendered hit body, so a hit costs parsing, keying and
+//! one socket write, with no planning and no JSON rendering. The model
+//! zoo's profiles are built once per process ([`api::zoo_profile`]), so
+//! validating a request is a name check. A bounded
 //! **admission queue** ([`admission`]) that sheds load with
 //! `503 + Retry-After` (computed from queue depth and observed drain
 //! rate) instead of queuing without bound. Around planning sits the

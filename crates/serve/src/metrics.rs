@@ -32,10 +32,12 @@ use ap_sched::SchedCounters;
 use crate::admission::QueueStats;
 
 /// Upper bounds (seconds) of the latency buckets; `+Inf` is implicit.
-/// Log-spaced from 1ms to 10s — planning is milliseconds, engine
-/// verification tens of milliseconds, overload anything.
-pub const BUCKET_BOUNDS: [f64; 13] = [
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+/// Log-spaced from 10µs to 10s — a plan cache hit is tens of
+/// microseconds, planning milliseconds, engine verification tens of
+/// milliseconds, overload anything.
+pub const BUCKET_BOUNDS: [f64; 19] = [
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 ];
 
 #[derive(Debug, Default, Clone)]

@@ -116,7 +116,9 @@ struct State {
     addr: SocketAddr,
     workers: usize,
     timing: Timing,
-    cache: Mutex<PlanCache>,
+    /// Rendered `/plan` hit bodies (`"cached": true`), keyed by request
+    /// digest.
+    cache: Mutex<PlanCache<Arc<str>>>,
     queue: AdmissionQueue,
     clock: Arc<dyn Clock>,
     /// Around engine verification of `/plan`; open means "serve the
@@ -408,6 +410,11 @@ fn worker_loop(state: &State) {
 }
 
 fn serve_connection(stream: &mut TcpStream, state: &State) {
+    // One read timeout for the connection's life: every read polls at
+    // this interval so an idle keep-alive wait notices a drain.
+    if stream.set_read_timeout(Some(state.timing.poll)).is_err() {
+        return;
+    }
     loop {
         let req = match http::read_request(stream, &state.draining, &state.timing) {
             Ok(req) => req,
@@ -465,6 +472,7 @@ fn serve_connection(stream: &mut TcpStream, state: &State) {
         let close = req.wants_close() || state.draining.load(Ordering::Relaxed);
         let written = match &body {
             Body::Json(j) => http::respond(stream, status, &extra, &j.pretty(), close),
+            Body::Rendered(text) => http::respond(stream, status, &extra, text, close),
             Body::Text(t) => http::respond_typed(
                 stream,
                 status,
@@ -504,6 +512,8 @@ fn error_response(
 /// A response body: JSON everywhere except the Prometheus exposition.
 enum Body {
     Json(Json),
+    /// JSON rendered ahead of time: a `/plan` answer, served as stored.
+    Rendered(Arc<str>),
     Text(String),
 }
 
@@ -543,7 +553,7 @@ fn route(state: &State, req: &Request) -> Routed {
             (200, Vec::new(), Body::Text(text))
         }
         ("POST", "/plan") => match handle_plan(state, &req.body) {
-            Ok(j) => ok(j),
+            Ok(body) => (200, Vec::new(), body),
             Err(e) => {
                 // A full bulkhead is the one JSON error that carries a
                 // computed Retry-After: the caller should come back, just
@@ -641,7 +651,10 @@ fn self_observe_mem_fit(state: &State, refined: &api::RefinedPlan) {
 /// validates gets **200 with a plan**. The engine not running (breaker
 /// open, budget spent, verification error) downgrades the answer to the
 /// analytic one, marked `"degraded": true`; it never becomes a 500.
-fn handle_plan(state: &State, body: &[u8]) -> Result<Json, ApiError> {
+///
+/// A verified answer is rendered twice, once as this reply and once with
+/// `"cached": true` as the body every later hit writes unchanged.
+fn handle_plan(state: &State, body: &[u8]) -> Result<Body, ApiError> {
     state.hit(Endpoint::Plan);
     let parsed = api::parse_body(body)?;
     let req = PlanRequest::from_json(&parsed)?;
@@ -662,9 +675,8 @@ fn handle_plan(state: &State, body: &[u8]) -> Result<Json, ApiError> {
     // Cache next: hits are served even while the breaker is open — a
     // previously verified plan is exactly the graceful fallback.
     let digest = fnv1a64(&req.canonical_key());
-    if let Some(mut hit) = state.cache.lock().unwrap().get(digest) {
-        set_field(&mut hit, "cached", true.to_json());
-        return Ok(hit);
+    if let Some(hit) = state.cache.lock().unwrap().get(digest) {
+        return Ok(Body::Rendered(hit));
     }
 
     // Deadline brackets all computation on behalf of this request.
@@ -693,7 +705,12 @@ fn handle_plan(state: &State, body: &[u8]) -> Result<Json, ApiError> {
     // The analytic answer, marked degraded and counted by reason.
     let degrade = |reason: Reason| {
         state.degraded[reason as usize].fetch_add(1, Ordering::Relaxed);
-        Ok(api::plan_response(&req, &refined, None, Some(reason.id())))
+        Ok(Body::Json(api::plan_response(
+            &req,
+            &refined,
+            None,
+            Some(reason.id()),
+        )))
     };
     if deadline.expired() {
         // The analytic phase ate the whole budget; the engine would only
@@ -714,12 +731,20 @@ fn handle_plan(state: &State, body: &[u8]) -> Result<Json, ApiError> {
                     // plans that cost more than their budget should not
                     // be rewarded.
                     state.verify_breaker.record_failure();
-                    return Ok(api::plan_response(&req, &refined, Some(&verified), None));
+                    return Ok(Body::Json(api::plan_response(
+                        &req,
+                        &refined,
+                        Some(&verified),
+                        None,
+                    )));
                 }
                 state.verify_breaker.record_success();
-                let response = api::plan_response(&req, &refined, Some(&verified), None);
-                state.cache.lock().unwrap().insert(digest, response.clone());
-                Ok(response)
+                let mut response = api::plan_response(&req, &refined, Some(&verified), None);
+                let reply: Arc<str> = response.pretty().into();
+                set_field(&mut response, "cached", true.to_json());
+                let hit_body: Arc<str> = response.pretty().into();
+                state.cache.lock().unwrap().insert(digest, hit_body);
+                Ok(Body::Rendered(reply))
             }
             Err(_) => {
                 state.verify_breaker.record_failure();

@@ -333,6 +333,12 @@ ap_bulkhead_capacity{endpoint=\"plan\"}
 ap_bulkhead_capacity{endpoint=\"simulate\"}
 ap_bulkhead_rejected_total{endpoint=\"plan\"}
 ap_bulkhead_rejected_total{endpoint=\"simulate\"}
+ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.00001\"}
+ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.000025\"}
+ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.00005\"}
+ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.0001\"}
+ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.00025\"}
+ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.0005\"}
 ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.001\"}
 ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.0025\"}
 ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"0.005\"}
@@ -349,6 +355,12 @@ ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"10\"}
 ap_request_duration_seconds_bucket{endpoint=\"plan\",le=\"+Inf\"}
 ap_request_duration_seconds_sum{endpoint=\"plan\"}
 ap_request_duration_seconds_count{endpoint=\"plan\"}
+ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.00001\"}
+ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.000025\"}
+ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.00005\"}
+ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.0001\"}
+ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.00025\"}
+ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.0005\"}
 ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.001\"}
 ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.0025\"}
 ap_request_duration_seconds_bucket{endpoint=\"simulate\",le=\"0.005\"}
@@ -385,6 +397,12 @@ ap_sched_replans_considered_total
 ap_sched_plans_moved_total
 ap_sched_neighborhood_size
 ap_sched_aggregate_predicted_throughput
+ap_sched_replan_duration_seconds_bucket{le=\"0.00001\"}
+ap_sched_replan_duration_seconds_bucket{le=\"0.000025\"}
+ap_sched_replan_duration_seconds_bucket{le=\"0.00005\"}
+ap_sched_replan_duration_seconds_bucket{le=\"0.0001\"}
+ap_sched_replan_duration_seconds_bucket{le=\"0.00025\"}
+ap_sched_replan_duration_seconds_bucket{le=\"0.0005\"}
 ap_sched_replan_duration_seconds_bucket{le=\"0.001\"}
 ap_sched_replan_duration_seconds_bucket{le=\"0.0025\"}
 ap_sched_replan_duration_seconds_bucket{le=\"0.005\"}

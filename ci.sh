@@ -33,10 +33,10 @@ trap 'rm -rf "$mm_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin matmul_bench -- "$mm_tmp/BENCH_hotpath.json"
 
 echo "== matmul equivalence without AVX-512 =="
-# The kernel's register block is 4 rows tall where AVX-512 is enabled
-# and 2 rows tall elsewhere, so an AVX-512 host would never test the
-# 2-row build. Run the equivalence suite once more with AVX-512 off, in
-# its own target directory.
+# Where AVX-512 is enabled the kernel's register block is 8 rows of
+# 512-bit lanes; elsewhere it is 2 rows of portable lanes, so an AVX-512
+# host would never test the portable build. Run the equivalence suite
+# once more with AVX-512 off, in its own target directory.
 RUSTFLAGS="-C target-cpu=native -C target-feature=-avx512f" CARGO_TARGET_DIR=target/no-avx512 \
   cargo test -q --offline -p ap-nn --test matmul_equivalence
 

@@ -57,7 +57,8 @@ fn fit_codec(batch: usize) -> (f64, f64) {
 }
 
 /// Fit the stash constant: seconds per parameter byte of one master
-/// snapshot, measured by cloning the actual model.
+/// snapshot, measured the way a stage takes one: the actual model copied
+/// into a retired network of the same shape, gradients zeroed.
 fn fit_stash(spec: &ExecSpec) -> f64 {
     let net = Mlp::new(&spec.sizes, spec.act, spec.seed);
     let param_bytes: f64 = (0..net.n_layers())
@@ -67,11 +68,12 @@ fn fit_stash(spec: &ExecSpec) -> f64 {
         })
         .sum();
     let reps = 64;
-    let clone = net.clone(); // warm-up
-    std::hint::black_box(&clone);
+    let mut snapshot = net.clone(); // warm-up: the retired network
     let t = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(net.clone());
+        snapshot.clone_from(std::hint::black_box(&net));
+        snapshot.zero_grad();
+        std::hint::black_box(&snapshot);
     }
     let per_clone = t.elapsed().as_secs_f64() / reps as f64;
     (per_clone / param_bytes.max(1.0)).max(0.0)

@@ -91,6 +91,14 @@ impl Frame {
             Frame::Delta { .. } => "delta",
         }
     }
+
+    /// Drop a sent frame, handing an activation or gradient tensor to
+    /// this thread's recycled buffers ([`Matrix::recycle`]).
+    pub fn recycle(self) {
+        if let Frame::Act { data, .. } | Frame::Grad { data, .. } = self {
+            data.recycle();
+        }
+    }
 }
 
 const TAG_ACT: u8 = 0;
@@ -128,26 +136,19 @@ fn put_f64s(out: &mut Vec<u8>, vals: &[f64]) {
     }
 }
 
-/// Decode a little-endian f64 payload (`raw.len()` divisible by 8).
-fn f64s_from_le(raw: &[u8]) -> Vec<f64> {
-    debug_assert_eq!(raw.len() % 8, 0);
-    let n = raw.len() / 8;
+/// Decode a little-endian f64 payload into `out`, which holds
+/// `raw.len() / 8` values.
+fn f64s_from_le(raw: &[u8], out: &mut [f64]) {
+    assert_eq!(raw.len(), out.len() * 8, "payload/destination mismatch");
     #[cfg(target_endian = "little")]
-    {
-        let mut out = Vec::<f64>::with_capacity(n);
-        // Sound: the destination has capacity for `raw.len()` bytes, the
-        // source is plain bytes, and every bit pattern is a valid f64.
-        unsafe {
-            std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr().cast::<u8>(), raw.len());
-            out.set_len(n);
-        }
-        out
+    // Sound: the lengths match, the source is plain bytes, and every bit
+    // pattern is a valid f64.
+    unsafe {
+        std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr().cast::<u8>(), raw.len());
     }
     #[cfg(not(target_endian = "little"))]
-    {
-        raw.chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-            .collect()
+    for (v, c) in out.iter_mut().zip(raw.chunks_exact(8)) {
+        *v = f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()));
     }
 }
 
@@ -244,8 +245,8 @@ pub fn encode_into(f: &Frame, out: &mut Vec<u8>) {
 
 /// A matrix parsed off the wire but not yet materialized: shape plus a
 /// borrowed view of the raw payload bytes inside the receive buffer.
-/// [`MatrixView::to_matrix`] materializes it with a single allocation
-/// and one bulk little-endian conversion (a memcpy on LE hosts), instead
+/// [`MatrixView::to_matrix`] materializes it into one (recycled) buffer
+/// with one bulk little-endian conversion (a memcpy on LE hosts), instead
 /// of the per-element chunking the eager decoder used to do.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixView<'a> {
@@ -265,9 +266,13 @@ impl MatrixView<'_> {
         self.cols
     }
 
-    /// Materialize into an owned matrix, bit-exactly.
+    /// Materialize into an owned matrix, bit-exactly. Its storage comes
+    /// from this thread's recycled buffers ([`Matrix::scratch`]) when one
+    /// is free.
     pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.rows, self.cols, f64s_from_le(self.raw))
+        let mut m = Matrix::scratch(self.rows, self.cols);
+        f64s_from_le(self.raw, m.data_mut());
+        m
     }
 }
 

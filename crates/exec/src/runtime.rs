@@ -9,7 +9,7 @@
 //! (PipeDream async 1F1B, GPipe with recompute, DAPPLE, Chimera,
 //! PipeDream-2BW) and replays each stage's op sequence literally —
 //! `Recv`/`Send` become frames on the byte channels, `StashPush` becomes
-//! a master clone, `Forward`/`Backward`/`FusedFwdLossBwd`/`Recompute`
+//! a master snapshot, `Forward`/`Backward`/`FusedFwdLossBwd`/`Recompute`
 //! become real matrix math, `ApplyUpdate` becomes SGD on the master
 //! weights. ap-mem walks the *same* program for its modeled peak bytes
 //! (DESIGN.md §10), so the memory model and execution cannot drift apart
@@ -28,9 +28,11 @@
 //!
 //! ## Weight stashing
 //!
-//! A `StashPush` for unit `u` clones the stage's master weights; the
-//! clone (which also accumulates the layer input caches during `u`'s
+//! A `StashPush` for unit `u` snapshots the stage's master weights; the
+//! snapshot (which also accumulates the layer input caches during `u`'s
 //! forward) backs `u`'s backward — PipeDream weight-stashing semantics.
+//! A retired snapshot goes back to the stage for the next push to copy
+//! into, so stashing costs a copy, not an allocation.
 //! Units whose program carries no `StashPush` run directly on the master
 //! (the IR generator only omits the push when no other unit's update can
 //! land inside the forward→backward window, so the master *is* the
@@ -386,8 +388,11 @@ const TARGET_SALT: u64 = 0x517c_c1b7_2722_0a95;
 
 fn gen_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
     let mut rng = Rng::seed_from_u64(seed);
-    let data = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    Matrix::from_vec(rows, cols, data)
+    let mut m = Matrix::scratch(rows, cols);
+    for v in m.data_mut() {
+        *v = rng.gen_range(-1.0..1.0);
+    }
+    m
 }
 
 fn gen_input(spec: &ExecSpec, mb: u64) -> Matrix {
@@ -480,6 +485,8 @@ struct Stage<'a> {
     lo: usize,
     master: Mlp,
     stash: BTreeMap<UnitId, StashEntry>,
+    /// Retired stash networks, reused by the next `StashPush`.
+    spare_nets: Vec<Mlp>,
     migrated_stash: BTreeMap<u64, Mlp>,
     fwd_in: Option<&'a ByteChannel>,
     fwd_out: Option<&'a ByteChannel>,
@@ -798,7 +805,11 @@ impl<'a> Stage<'a> {
         let rows = full.rows() / self.m;
         let cols = full.cols();
         let lo = micro as usize * rows * cols;
-        Matrix::from_vec(rows, cols, full.data()[lo..lo + rows * cols].to_vec())
+        let mut part = Matrix::scratch(rows, cols);
+        part.data_mut()
+            .copy_from_slice(&full.data()[lo..lo + rows * cols]);
+        full.recycle();
+        part
     }
 
     /// The input activation for a unit: synthesized at stage 0 (admitting
@@ -814,6 +825,16 @@ impl<'a> Stage<'a> {
                 .remove(&unit)
                 .ok_or_else(|| self.err(format!("no received activation for {unit:?}")))
         }
+    }
+
+    /// The MSE loss of a unit's output against its target, and its
+    /// gradient; the output and target buffers are recycled.
+    fn loss(&self, h: Matrix, unit: UnitId) -> (f64, Matrix) {
+        let target = self.micro_rows(gen_target(self.spec, unit.mb), unit.micro);
+        let out = mse_loss(&h, &target);
+        h.recycle();
+        target.recycle();
+        out
     }
 
     /// Record one mini-batch loss: directly for async schedules, as the
@@ -854,29 +875,44 @@ impl<'a> Stage<'a> {
                     .staged_out
                     .remove(&unit)
                     .ok_or_else(|| self.err(format!("no staged activation for {unit:?}")))?;
-                let mb = unit.wire(self.m);
-                self.send_on(self.fwd_out, &Frame::Act { mb, data })?;
+                let frame = Frame::Act {
+                    mb: unit.wire(self.m),
+                    data,
+                };
+                self.send_on(self.fwd_out, &frame)?;
+                frame.recycle();
             }
             Payload::Grad => {
                 let data = self
                     .grad_out
                     .remove(&unit)
                     .ok_or_else(|| self.err(format!("no staged gradient for {unit:?}")))?;
-                let mb = unit.wire(self.m);
-                self.send_on(self.bwd_out, &Frame::Grad { mb, data })?;
+                let frame = Frame::Grad {
+                    mb: unit.wire(self.m),
+                    data,
+                };
+                self.send_on(self.bwd_out, &frame)?;
+                frame.recycle();
             }
             Payload::WeightState => self.send_migration()?,
         }
         Ok(())
     }
 
-    /// Snapshot the master for a unit. The clone's gradient buffers are
-    /// zeroed: deferred-apply schedules accumulate unit gradients in the
-    /// *master's* buffers between applies, and a stash must start clean
-    /// (for PipeDream the buffers are already zero, so this is a bitwise
-    /// no-op).
+    /// Snapshot the master for a unit, into a retired stash network when
+    /// one is spare (`clone_from` copies into its buffers). The copy's
+    /// gradient buffers are zeroed: deferred-apply schedules accumulate
+    /// unit gradients in the *master's* buffers between applies, and a
+    /// stash must start clean (for PipeDream the buffers are already
+    /// zero, so this is a bitwise no-op).
     fn op_stash_push(&mut self, unit: UnitId) {
-        let mut net = self.master.clone();
+        let mut net = match self.spare_nets.pop() {
+            Some(mut net) => {
+                net.clone_from(&self.master);
+                net
+            }
+            None => self.master.clone(),
+        };
         net.zero_grad();
         self.stash.insert(unit, StashEntry { lo: self.lo, net });
     }
@@ -902,14 +938,23 @@ impl<'a> Stage<'a> {
     }
 
     /// Timed backward through a network, layer by layer (reverse order).
-    fn timed_backward(times: &mut LayerTimes, net: &mut Mlp, lo: usize, g0: Matrix) -> Matrix {
+    /// Returns the gradient w.r.t. the network's input, except below
+    /// global layer 0: stage 0 has nowhere to send it, so that product is
+    /// skipped and the result is `None`.
+    fn timed_backward(
+        times: &mut LayerTimes,
+        net: &mut Mlp,
+        lo: usize,
+        g0: Matrix,
+    ) -> Option<Matrix> {
         let mut g = g0;
         for i in (0..net.n_layers()).rev() {
             let t = Instant::now();
-            g = net.backward_range(i..i + 1, &g);
+            let dx = net.backward_range_owned(i..i + 1, g, lo + i > 0);
             times.bwd(lo + i, t.elapsed().as_secs_f64());
+            g = dx?;
         }
-        g
+        Some(g)
     }
 
     fn op_forward(&mut self, unit: UnitId) -> Result<(), ExecError> {
@@ -930,7 +975,7 @@ impl<'a> Stage<'a> {
             // GPipe's loss stage runs a plain (unfused) forward phase: the
             // output is discarded — activation discard is the point — and
             // the loss comes from the recompute in the backward phase.
-            drop(h);
+            h.recycle();
         } else {
             self.staged_out.insert(unit, h);
         }
@@ -947,28 +992,26 @@ impl<'a> Stage<'a> {
         if let Some(mut entry) = self.stash.remove(&unit) {
             let h = Self::timed_forward(&mut self.times, &mut entry.net, entry.lo, x);
             self.record_segment(w, WorkKind::Forward, start);
-            let target = self.micro_rows(gen_target(self.spec, unit.mb), unit.micro);
-            let (loss, g0) = mse_loss(&h, &target);
+            let (loss, g0) = self.loss(h, unit);
             self.push_loss(unit.mb, loss);
             let start = self.now();
             let g = Self::timed_backward(&mut self.times, &mut entry.net, entry.lo, g0);
             self.record_segment(w, WorkKind::Backward, start);
             self.cur.insert(unit, entry);
-            if self.s > 0 {
+            if let Some(g) = g {
                 self.grad_out.insert(unit, g);
             }
         } else {
             let h = Self::timed_forward(&mut self.times, &mut self.master, self.lo, x);
             self.record_segment(w, WorkKind::Forward, start);
-            let target = self.micro_rows(gen_target(self.spec, unit.mb), unit.micro);
-            let (loss, g0) = mse_loss(&h, &target);
+            let (loss, g0) = self.loss(h, unit);
             self.push_loss(unit.mb, loss);
             let start = self.now();
             let g = Self::timed_backward(&mut self.times, &mut self.master, self.lo, g0);
             self.record_segment(w, WorkKind::Backward, start);
             // Gradients stay accumulated in the master's buffers for the
             // ApplyUpdate that follows (possibly after more fused units).
-            if self.s > 0 {
+            if let Some(g) = g {
                 self.grad_out.insert(unit, g);
             }
         }
@@ -1008,8 +1051,7 @@ impl<'a> Stage<'a> {
                     .recomputed
                     .remove(&unit)
                     .ok_or_else(|| self.err(format!("no recomputed output for {unit:?}")))?;
-                let target = self.micro_rows(gen_target(self.spec, unit.mb), unit.micro);
-                let (loss, g) = mse_loss(&h, &target);
+                let (loss, g) = self.loss(h, unit);
                 self.push_loss(unit.mb, loss);
                 g
             }
@@ -1026,8 +1068,9 @@ impl<'a> Stage<'a> {
                 self.cur.insert(unit, entry);
             } else {
                 self.fold_grads(&entry)?;
+                self.spare_nets.push(entry.net);
             }
-            if self.s > 0 {
+            if let Some(g) = g {
                 self.grad_out.insert(unit, g);
             }
         } else {
@@ -1035,7 +1078,7 @@ impl<'a> Stage<'a> {
             // gradients are consumed by the ApplyUpdate that follows.
             let g = Self::timed_backward(&mut self.times, &mut self.master, self.lo, g_in);
             self.record_segment(w, WorkKind::Backward, start);
-            if self.s > 0 {
+            if let Some(g) = g {
                 self.grad_out.insert(unit, g);
             }
         }
@@ -1107,6 +1150,7 @@ impl<'a> Stage<'a> {
                 delta.push((l.w.grad.clone(), l.b.grad.clone()));
             }
         }
+        self.spare_nets.push(net);
         if !seq_updates.is_empty() {
             self.seq_insert(mb, seq_updates)?;
         }
@@ -1349,6 +1393,7 @@ pub fn run_pipeline(spec: &ExecSpec) -> Result<ExecResult, ExecError> {
                     lo,
                     master,
                     stash: BTreeMap::new(),
+                    spare_nets: Vec::new(),
                     migrated_stash: BTreeMap::new(),
                     fwd_in: if s > 0 { Some(&fwd_ref[s - 1]) } else { None },
                     fwd_out: if s + 1 < n_stages {

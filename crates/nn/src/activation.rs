@@ -1,5 +1,6 @@
 //! Element-wise activation layers.
 
+use crate::linear::clone_cache;
 use crate::matrix::Matrix;
 
 /// Supported activation functions.
@@ -27,12 +28,14 @@ impl ActKind {
         }
     }
 
-    /// f'(x) expressed in terms of y = f(x) where convenient.
+    /// f'(x), from the output y = f(x) alone. ReLU reads it too: `y > 0`
+    /// exactly when `x > 0` (`x.max(0.0)` is `±0.0` for every other `x`,
+    /// NaN included).
     #[inline]
-    pub fn derivative_from_output(self, x: f64, y: f64) -> f64 {
+    pub fn derivative_from_output(self, y: f64) -> f64 {
         match self {
             ActKind::Relu => {
-                if x > 0.0 {
+                if y > 0.0 {
                     1.0
                 } else {
                     0.0
@@ -56,13 +59,27 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// A stateful activation layer (caches input and output for backward).
-#[derive(Debug, Clone)]
+/// A stateful activation layer (caches its output for backward).
+#[derive(Debug)]
 pub struct Activation {
     /// Which function.
     pub kind: ActKind,
-    cached_in: Option<Matrix>,
     cached_out: Option<Matrix>,
+}
+
+impl Clone for Activation {
+    fn clone(&self) -> Self {
+        Activation {
+            kind: self.kind,
+            cached_out: self.cached_out.clone(),
+        }
+    }
+
+    /// Copies into the existing buffer, recycling a cache `source` lacks.
+    fn clone_from(&mut self, source: &Self) {
+        self.kind = source.kind;
+        clone_cache(&mut self.cached_out, &source.cached_out);
+    }
 }
 
 impl Activation {
@@ -70,39 +87,49 @@ impl Activation {
     pub fn new(kind: ActKind) -> Self {
         Activation {
             kind,
-            cached_in: None,
             cached_out: None,
         }
     }
 
     /// Forward pass.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let y = x.map(|v| self.kind.apply(v));
-        self.cached_in = Some(x.clone());
-        self.cached_out = Some(y.clone());
-        y
+        self.forward_owned(x.clone())
     }
 
-    /// Forward pass taking ownership of the input, caching it without a
-    /// clone. Numerically identical to [`Activation::forward`]; the
-    /// pipeline hot path uses it to keep steady-state 1F1B allocation
-    /// minimal.
-    pub fn forward_owned(&mut self, x: Matrix) -> Matrix {
-        let y = x.map(|v| self.kind.apply(v));
-        self.cached_in = Some(x);
-        self.cached_out = Some(y.clone());
-        y
+    /// Forward pass taking ownership of the input and mapping it in
+    /// place; the output is copied into the buffer of the cache it
+    /// replaces. Identity passes `x` through and caches nothing: its
+    /// derivative is 1. Numerically identical to [`Activation::forward`];
+    /// the pipeline hot path uses it so a warm layer allocates nothing.
+    pub fn forward_owned(&mut self, mut x: Matrix) -> Matrix {
+        if self.kind == ActKind::Identity {
+            return x;
+        }
+        for v in x.data_mut() {
+            *v = self.kind.apply(*v);
+        }
+        self.cached_out
+            .get_or_insert_with(|| Matrix::scratch(0, 0))
+            .clone_from(&x);
+        x
     }
 
     /// Backward pass: dL/dx from dL/dy.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.cached_in.as_ref().expect("backward before forward");
-        let y = self.cached_out.as_ref().expect("backward before forward");
         let mut g = grad_out.clone();
-        for ((gv, &xv), &yv) in g.data_mut().iter_mut().zip(x.data()).zip(y.data()) {
-            *gv *= self.kind.derivative_from_output(xv, yv);
-        }
+        self.backward_in_place(&mut g);
         g
+    }
+
+    /// Backward pass turning dL/dy into dL/dx in place.
+    pub fn backward_in_place(&self, grad: &mut Matrix) {
+        if self.kind == ActKind::Identity {
+            return;
+        }
+        let y = self.cached_out.as_ref().expect("backward before forward");
+        for (gv, &yv) in grad.data_mut().iter_mut().zip(y.data()) {
+            *gv *= self.kind.derivative_from_output(yv);
+        }
     }
 }
 

@@ -17,7 +17,8 @@
 //! The learned components' networks are tiny (tens of units), but the
 //! exec runtime trains 128-wide layers through the same [`Matrix`], so its
 //! product is a packed, register-blocked kernel that stays bit-identical
-//! to the naive loop. Everything is deterministic given a seed, and
+//! to the naive loop, and a warm training step writes into buffers it
+//! already owns instead of allocating. Everything is deterministic given a seed, and
 //! nothing here starts a thread.
 
 pub mod activation;
@@ -37,12 +38,26 @@ pub use mlp::Mlp;
 pub use optim::{Adam, Optimizer, Sgd};
 
 /// A trainable parameter tensor paired with its gradient accumulator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Param {
     /// Current value.
     pub value: Matrix,
     /// Accumulated gradient (same shape).
     pub grad: Matrix,
+}
+
+impl Clone for Param {
+    fn clone(&self) -> Self {
+        Param {
+            value: self.value.clone(),
+            grad: self.grad.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.value.clone_from(&source.value);
+        self.grad.clone_from(&source.grad);
+    }
 }
 
 impl Param {

@@ -4,13 +4,45 @@ use crate::matrix::Matrix;
 use crate::Param;
 
 /// A linear layer mapping `batch x d_in` to `batch x d_out`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Linear {
     /// Weight, `d_in x d_out`.
     pub w: Param,
     /// Bias, `1 x d_out`.
     pub b: Param,
     cached_in: Option<Matrix>,
+}
+
+impl Clone for Linear {
+    fn clone(&self) -> Self {
+        Linear {
+            w: self.w.clone(),
+            b: self.b.clone(),
+            cached_in: self.cached_in.clone(),
+        }
+    }
+
+    /// Copies into the existing buffers. A cache `source` lacks is
+    /// recycled rather than freed, so the next forward reuses it.
+    fn clone_from(&mut self, source: &Self) {
+        self.w.clone_from(&source.w);
+        self.b.clone_from(&source.b);
+        clone_cache(&mut self.cached_in, &source.cached_in);
+    }
+}
+
+/// `to.clone_from(from)` for a layer cache, reusing `to`'s buffer when
+/// both hold one and recycling it when `from` holds none.
+pub(crate) fn clone_cache(to: &mut Option<Matrix>, from: &Option<Matrix>) {
+    match (to.as_mut(), from) {
+        (Some(t), Some(f)) => t.clone_from(f),
+        (None, Some(f)) => *to = Some(f.clone()),
+        (_, None) => {
+            if let Some(t) = to.take() {
+                t.recycle();
+            }
+        }
+    }
 }
 
 impl Linear {
@@ -35,17 +67,19 @@ impl Linear {
 
     /// Forward pass; caches the input for backward.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
-        y.add_row_broadcast(&self.b.value);
-        self.cached_in = Some(x.clone());
-        y
+        self.forward_owned(x.clone())
     }
 
     /// Forward pass taking ownership of the input: the cache keeps `x`
-    /// itself instead of a clone. Numerically identical to
-    /// [`Linear::forward`].
+    /// itself instead of a clone, and the output is written into the
+    /// buffer of the input it replaces, so a warm layer allocates
+    /// nothing. Numerically identical to [`Linear::forward`].
     pub fn forward_owned(&mut self, x: Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
+        let mut y = self
+            .cached_in
+            .take()
+            .unwrap_or_else(|| Matrix::scratch(0, 0));
+        x.matmul_into(&self.w.value, &mut y);
         y.add_row_broadcast(&self.b.value);
         self.cached_in = Some(x);
         y
@@ -60,11 +94,22 @@ impl Linear {
 
     /// Backward pass: accumulates dW, db and returns dL/dx.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.cached_in.as_ref().expect("backward before forward");
-        // dW = x^T @ grad_out ; db = column sums ; dx = grad_out @ W^T.
-        self.w.grad.add_assign(&x.t_matmul(grad_out));
-        self.b.grad.add_assign(&grad_out.sum_rows());
+        self.accumulate_grads(grad_out);
         grad_out.matmul_t(&self.w.value)
+    }
+
+    /// The parameter half of [`Linear::backward`]: `dW += xᵀ @ grad_out`
+    /// and `db += Σ rows of grad_out`, with no temporaries.
+    pub fn accumulate_grads(&mut self, grad_out: &Matrix) {
+        let x = self.cached_in.as_ref().expect("backward before forward");
+        x.t_matmul_acc(grad_out, &mut self.w.grad);
+        self.b.grad.add_sum_rows(grad_out);
+    }
+
+    /// The input half of [`Linear::backward`]: `dx = grad_out @ Wᵀ`,
+    /// written into `dx`'s buffer.
+    pub fn input_grad_into(&self, grad_out: &Matrix, dx: &mut Matrix) {
+        grad_out.matmul_t_into(&self.w.value, dx);
     }
 
     /// All parameters for an optimizer.

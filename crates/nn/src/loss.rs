@@ -2,7 +2,8 @@
 
 use crate::matrix::Matrix;
 
-/// Mean squared error over all elements.
+/// Mean squared error over all elements. The gradient's storage is a
+/// recycled buffer ([`Matrix::scratch`]) when this thread has one.
 pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
     assert_eq!(
         (pred.rows(), pred.cols()),
@@ -10,12 +11,17 @@ pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
         "mse shape mismatch"
     );
     let n = pred.data().len() as f64;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    let mut grad = Matrix::scratch(pred.rows(), pred.cols());
     let mut loss = 0.0;
-    for (i, (&p, &t)) in pred.data().iter().zip(target.data()).enumerate() {
+    for ((g, &p), &t) in grad
+        .data_mut()
+        .iter_mut()
+        .zip(pred.data())
+        .zip(target.data())
+    {
         let d = p - t;
         loss += d * d;
-        grad.data_mut()[i] = 2.0 * d / n;
+        *g = 2.0 * d / n;
     }
     (loss / n, grad)
 }

@@ -183,8 +183,8 @@ impl Lstm {
             let da_g = d_g.hadamard(&cache.g.map(|v| 1.0 - v * v));
             let da_o = d_o.hadamard(&cache.o.map(|v| v * (1.0 - v)));
             let da = da_i.hcat(&da_f).hcat(&da_g).hcat(&da_o);
-            self.cell.w.grad.add_assign(&cache.z.t_matmul(&da));
-            self.cell.b.grad.add_assign(&da.sum_rows());
+            cache.z.t_matmul_acc(&da, &mut self.cell.w.grad);
+            self.cell.b.grad.add_sum_rows(&da);
             let dz = da.matmul_t(&self.cell.w.value);
             let (dh_prev, dx) = dz.hsplit(hn);
             dxs[t] = dx;

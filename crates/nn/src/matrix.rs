@@ -1,14 +1,42 @@
 //! Dense row-major matrix with the operations the layers need.
 
 use ap_rng::Rng;
+use std::cell::RefCell;
 
 /// A dense `rows x cols` matrix of `f64`, row-major.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
 }
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies into the existing allocation (growing it only if `source`
+    /// is larger), so a warm copy allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
+}
+
+thread_local! {
+    /// Matrix buffers this thread has finished with, for [`Matrix::scratch`].
+    static FREE: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Most buffers a thread's free list keeps; [`Matrix::recycle`] drops
+/// the rest.
+const FREE_MAX: usize = 16;
 
 impl Matrix {
     /// Zero matrix.
@@ -17,6 +45,31 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
+        }
+    }
+
+    /// A `rows x cols` matrix for a caller that overwrites every element.
+    /// Its storage is a buffer this thread passed to [`Matrix::recycle`],
+    /// when one is free, so its values are whatever that buffer last
+    /// held.
+    pub fn scratch(rows: usize, cols: usize) -> Self {
+        let mut data = FREE.with_borrow_mut(Vec::pop).unwrap_or_default();
+        data.resize(rows * cols, 0.0);
+        Matrix { rows, cols, data }
+    }
+
+    /// Hand this matrix's storage to the current thread's free list, for
+    /// a later [`Matrix::scratch`]. A steady training loop that recycles
+    /// what it is done with stops allocating.
+    pub fn recycle(self) {
+        if self.data.capacity() > 0 {
+            FREE.with_borrow_mut(|free| {
+                if free.len() < FREE_MAX {
+                    // Sized once, so recycling never allocates.
+                    free.reserve_exact(FREE_MAX - free.len());
+                    free.push(self.data);
+                }
+            });
         }
     }
 
@@ -93,19 +146,47 @@ impl Matrix {
     /// result is **bit-identical** to it; the exec runtime's determinism
     /// tests rely on this. The product runs on the calling thread.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        product(self.operand(false), other.operand(false))
+        // Empty: the product sizes it, which for the tiny single-row
+        // outputs is measurably cheaper than a zeroed (calloc) buffer.
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// `self @ other` written into `out`, which takes the product's shape
+    /// and keeps its allocation: bit-identical to [`Matrix::matmul`].
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        product(self.operand(false), other.operand(false), out, false);
     }
 
     /// `selfᵀ @ other`: bit-identical to `self.transpose().matmul(other)`,
     /// without materializing the transpose.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        product(self.operand(true), other.operand(false))
+        let mut out = Matrix::zeros(0, 0);
+        product(self.operand(true), other.operand(false), &mut out, false);
+        out
+    }
+
+    /// `acc += selfᵀ @ other`: bit-identical to
+    /// `acc.add_assign(&self.t_matmul(other))`, without the temporary
+    /// product (each element is added once, as the kernel stores it).
+    pub fn t_matmul_acc(&self, other: &Matrix, acc: &mut Matrix) {
+        product(self.operand(true), other.operand(false), acc, true);
     }
 
     /// `self @ otherᵀ`: bit-identical to `self.matmul(&other.transpose())`,
     /// without materializing the transpose.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        product(self.operand(false), other.operand(true))
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_t_into(other, &mut out);
+        out
+    }
+
+    /// `self @ otherᵀ` written into `out`, which takes the product's
+    /// shape and keeps its allocation: bit-identical to
+    /// [`Matrix::matmul_t`].
+    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
+        product(self.operand(false), other.operand(true), out, false);
     }
 
     /// This matrix, or its transpose, as a product operand.
@@ -189,6 +270,28 @@ impl Matrix {
         out
     }
 
+    /// `self += other.sum_rows()`, bit-identically, without the temporary
+    /// row: each column's sum still starts at `0.0` and adds the rows in
+    /// order before it is added to `self`.
+    pub fn add_sum_rows(&mut self, other: &Matrix) {
+        assert_eq!((self.rows, self.cols), (1, other.cols));
+        const W: usize = 16;
+        if other.cols == 0 {
+            return;
+        }
+        for (c0, dst) in (0..other.cols).step_by(W).zip(self.data.chunks_mut(W)) {
+            let mut sum = [0.0; W];
+            for row in other.data.chunks_exact(other.cols) {
+                for (s, &v) in sum.iter_mut().zip(&row[c0..c0 + dst.len()]) {
+                    *s += v;
+                }
+            }
+            for (d, s) in dst.iter_mut().zip(&sum) {
+                *d += s;
+            }
+        }
+    }
+
     /// Map every element.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
@@ -246,25 +349,151 @@ struct Operand<'a> {
     cs: usize,
 }
 
+/// A vector of accumulators the micro-kernel is written against: `N`
+/// `f64`s updated as one. The kernel body is generic over it, so the
+/// 512-bit build and the portable one run the same loop.
+trait Lane: Copy {
+    /// `f64`s per lane.
+    const N: usize;
+    fn zero() -> Self;
+    /// Every slot `x`.
+    fn splat(x: f64) -> Self;
+    /// The first `N` values of `src`.
+    fn load(src: &[f64]) -> Self;
+    /// The first `V * N` values of `src`, as `V` lanes.
+    #[inline(always)]
+    fn load_row<const V: usize>(src: &[f64]) -> [Self; V] {
+        let src = &src[..V * Self::N];
+        let mut row = [Self::zero(); V];
+        for (v, lane) in row.iter_mut().enumerate() {
+            *lane = Self::load(&src[v * Self::N..]);
+        }
+        row
+    }
+    /// `self + a * b` per slot: an IEEE multiply, then an IEEE add.
+    /// Never fused, so the bits are the scalar expression's.
+    fn mul_add(self, a: Self, b: Self) -> Self;
+    /// Write the `N` slots to the front of `dst`.
+    fn store(self, dst: &mut [f64]);
+}
+
+/// The portable lane: one `f64`. A row of them is a plain array loop,
+/// which LLVM vectorizes to whatever width the target prefers.
+impl Lane for f64 {
+    const N: usize = 1;
+
+    #[inline(always)]
+    fn zero() -> Self {
+        0.0
+    }
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        x
+    }
+
+    #[inline(always)]
+    fn load(src: &[f64]) -> Self {
+        src[0]
+    }
+
+    /// One fixed-size copy, the row load the portable kernel's codegen
+    /// was tuned with.
+    #[inline(always)]
+    fn load_row<const V: usize>(src: &[f64]) -> [Self; V] {
+        *<&[f64; V]>::try_from(&src[..V]).expect("V-long slice")
+    }
+
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        self + a * b
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f64]) {
+        dst[0] = self;
+    }
+}
+
+/// One 512-bit register of eight `f64`s. LLVM prefers 256-bit vectors
+/// even where AVX-512 is enabled, so the packed kernel names the
+/// register width itself instead of relying on autovectorization.
+#[cfg(target_feature = "avx512f")]
+#[derive(Clone, Copy)]
+struct Zmm(std::arch::x86_64::__m512d);
+
+#[cfg(target_feature = "avx512f")]
+impl Lane for Zmm {
+    const N: usize = 8;
+
+    #[inline(always)]
+    fn zero() -> Self {
+        // SAFETY (every intrinsic here): this build enables AVX-512F.
+        Zmm(unsafe { std::arch::x86_64::_mm512_setzero_pd() })
+    }
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        Zmm(unsafe { std::arch::x86_64::_mm512_set1_pd(x) })
+    }
+
+    #[inline(always)]
+    fn load(src: &[f64]) -> Self {
+        let src = &src[..8];
+        // SAFETY: `src` holds the eight values the unaligned load reads.
+        Zmm(unsafe { std::arch::x86_64::_mm512_loadu_pd(src.as_ptr()) })
+    }
+
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        use std::arch::x86_64::{_mm512_add_pd, _mm512_mul_pd};
+        Zmm(unsafe { _mm512_add_pd(self.0, _mm512_mul_pd(a.0, b.0)) })
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f64]) {
+        let dst = &mut dst[..8];
+        // SAFETY: `dst` holds the eight slots the unaligned store writes.
+        unsafe { std::arch::x86_64::_mm512_storeu_pd(dst.as_mut_ptr(), self.0) }
+    }
+}
+
+/// The lane of the packed (multi-row) kernel.
+#[cfg(target_feature = "avx512f")]
+type Packed = Zmm;
+#[cfg(not(target_feature = "avx512f"))]
+type Packed = f64;
+
 /// Rows of the register block: `MR` rows of `a` share every load of `b`.
 /// The `MR x NR` accumulators must stay in registers for the whole `k`
-/// loop. 4 x 16 is 16 256-bit registers, which the 32-register AVX-512
-/// file holds alongside the `b` operand and the `a` broadcast; a
-/// 16-register AVX2 file spills it, and holds 2 x 16. The bits are the
-/// same either way.
+/// loop. 8 x 16 is 16 512-bit registers, half the AVX-512 file, which
+/// leaves room for the two `b` loads and the `a` broadcast; a
+/// 16-register AVX2 file spills anything past 2 x 16 (eight 256-bit
+/// registers). The bits are the same either way.
 #[cfg(target_feature = "avx512f")]
-const MR: usize = 4;
+const MR: usize = 8;
 #[cfg(not(target_feature = "avx512f"))]
 const MR: usize = 2;
 
 /// Columns of the register block.
 const NR: usize = 16;
 
+/// Lanes per row of a packed block.
+const NV: usize = NR / Packed::N;
+
 /// Block width for a single row: one `NR`-wide row is only four
 /// accumulator chains, too few to hide the add latency.
 const WIDE: usize = 2 * NR;
 
-/// The matrix product kernel: `a` (`m x k`) times `b` (`k x n`).
+thread_local! {
+    /// The packing buffers of every product on this thread: `a`'s packed
+    /// row blocks, then one packed `b` panel. They only grow.
+    static PACK: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The matrix product kernel: `a` (`m x k`) times `b` (`k x n`), written
+/// into `out` — or, with `accumulate`, added to `out` element by element
+/// as each block is stored.
 ///
 /// `b` is packed one `NR`-column panel at a time into `k` contiguous
 /// groups of `NR` values, and `a` into `k` groups of (up to) `MR` values
@@ -273,66 +502,92 @@ const WIDE: usize = 2 * NR;
 /// registers for the whole `k` loop and is written once. `a` read
 /// transposed is read in place: its groups are already contiguous. A
 /// single row times a row-major `b` packs nothing at all: packing pays
-/// back only through reuse.
+/// back only through reuse. The packing buffers are per thread and
+/// reused, so a warm product allocates nothing.
 ///
 /// The panel loop is outermost, so a packed panel stays in L1 while every
 /// row block of `a` streams past it.
-fn product(a: Operand, b: Operand) -> Matrix {
+fn product(a: Operand, b: Operand, out: &mut Matrix, accumulate: bool) {
     assert_eq!(a.cols, b.rows, "matmul shape mismatch");
     let (m, k, n) = (a.rows, a.cols, b.cols);
-    let mut out = Matrix::zeros(m, n);
+    if accumulate {
+        assert_eq!((out.rows, out.cols), (m, n), "accumulator shape mismatch");
+    } else {
+        out.rows = m;
+        out.cols = n;
+        out.data.resize(m * n, 0.0);
+    }
     if m == 0 || n == 0 || k == 0 {
-        return out;
+        // The product is all `+0.0`; added, it still turns `-0.0` to `0.0`.
+        for x in &mut out.data {
+            *x = if accumulate { *x + 0.0 } else { 0.0 };
+        }
+        return;
     }
     // Whether `a` holds an exact zero, i.e. whether any term can be skipped.
     let skip = a.data.iter().fold(false, |zero, &x| zero | (x == 0.0));
+    let out = &mut out.data[..];
     if m == 1 && b.cs == 1 {
         // One row times a row-major `b`: nothing would reuse a packed
         // panel, so every block reads `b` in place, widest first.
         let mut j0 = 0;
-        j0 = single_row::<WIDE>(a, b, skip, &mut out.data, j0);
-        j0 = single_row::<NR>(a, b, skip, &mut out.data, j0);
-        single_row::<1>(a, b, skip, &mut out.data, j0);
-        return out;
+        j0 = single_row::<WIDE>(a, b, skip, out, accumulate, j0);
+        j0 = single_row::<NR>(a, b, skip, out, accumulate, j0);
+        single_row::<1>(a, b, skip, out, accumulate, j0);
+        return;
     }
-    let a_in_place = a.rs == 1;
-    let a_packed = if a_in_place {
-        Vec::new()
-    } else {
-        let mut packed = vec![0.0; m.div_ceil(MR) * MR * k];
-        for (i0, dst) in (0..m).step_by(MR).zip(packed.chunks_exact_mut(MR * k)) {
-            pack::<MR>(&a.data[i0 * a.rs..], a.rs, a.cs, (m - i0).min(MR), k, dst);
-        }
-        packed
-    };
-    let mut panel = vec![0.0; k * NR];
-    for j0 in (0..n).step_by(NR) {
-        let w = (n - j0).min(NR);
-        pack::<NR>(&b.data[j0 * b.cs..], b.cs, b.rs, w, k, &mut panel);
-        for i0 in (0..m).step_by(MR) {
-            let (a_block, lda) = if a_in_place {
-                (&a.data[i0 * a.rs..], a.cs)
-            } else {
-                (&a_packed[i0 * k..], MR)
-            };
-            let groups = Groups {
-                a: a_block,
-                lda,
-                b: &panel,
-                ldb: NR,
-                k,
-            };
-            let dst = &mut out.data[i0 * n + j0..];
-            // Arms wider than `MR` never match.
-            match (m - i0).min(MR) {
-                1 => tile::<1, NR>(groups, skip, dst, n, w),
-                2 => tile::<2, NR>(groups, skip, dst, n, w),
-                3 => tile::<3, NR>(groups, skip, dst, n, w),
-                _ => tile::<MR, NR>(groups, skip, dst, n, w),
+    PACK.with_borrow_mut(|(a_packed, panel)| {
+        let a_in_place = a.rs == 1;
+        if !a_in_place {
+            grow(a_packed, m.div_ceil(MR) * MR * k);
+            for (i0, dst) in (0..m).step_by(MR).zip(a_packed.chunks_exact_mut(MR * k)) {
+                pack::<MR>(&a.data[i0 * a.rs..], a.rs, a.cs, (m - i0).min(MR), k, dst);
             }
         }
+        grow(panel, k * NR);
+        for j0 in (0..n).step_by(NR) {
+            let w = (n - j0).min(NR);
+            pack::<NR>(&b.data[j0 * b.cs..], b.cs, b.rs, w, k, panel);
+            for i0 in (0..m).step_by(MR) {
+                let (a_block, lda) = if a_in_place {
+                    (&a.data[i0 * a.rs..], a.cs)
+                } else {
+                    (&a_packed[i0 * k..], MR)
+                };
+                let groups = Groups {
+                    a: a_block,
+                    lda,
+                    b: panel,
+                    ldb: NR,
+                    k,
+                };
+                let dst = Dst {
+                    out: &mut out[i0 * n + j0..],
+                    n,
+                    w,
+                    accumulate,
+                };
+                // Arms wider than `MR` never match.
+                match (m - i0).min(MR) {
+                    1 => tile::<Packed, 1, NV>(groups, skip, dst),
+                    2 => tile::<Packed, 2, NV>(groups, skip, dst),
+                    3 => tile::<Packed, 3, NV>(groups, skip, dst),
+                    4 => tile::<Packed, 4, NV>(groups, skip, dst),
+                    5 => tile::<Packed, 5, NV>(groups, skip, dst),
+                    6 => tile::<Packed, 6, NV>(groups, skip, dst),
+                    7 => tile::<Packed, 7, NV>(groups, skip, dst),
+                    _ => tile::<Packed, MR, NV>(groups, skip, dst),
+                }
+            }
+        }
+    });
+}
+
+/// Grow `buf` to at least `len` values; it never shrinks.
+fn grow(buf: &mut Vec<f64>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
-    out
 }
 
 /// Compute the `C`-wide blocks of a single-row product from column `j0`
@@ -342,6 +597,7 @@ fn single_row<const C: usize>(
     b: Operand,
     skip: bool,
     out: &mut [f64],
+    accumulate: bool,
     j0: usize,
 ) -> usize {
     let mut j = j0;
@@ -353,7 +609,13 @@ fn single_row<const C: usize>(
             ldb: b.rs,
             k: a.cols,
         };
-        tile::<1, C>(groups, skip, &mut out[j..], b.cols, C);
+        let dst = Dst {
+            out: &mut out[j..],
+            n: b.cols,
+            w: C,
+            accumulate,
+        };
+        tile::<f64, 1, C>(groups, skip, dst);
         j += C;
     }
     j
@@ -393,32 +655,55 @@ struct Groups<'a> {
     k: usize,
 }
 
-/// Compute one block and write its first `w` columns to `dst`, row `r`
-/// at `dst[r * n..]`. `skip` says whether `a` holds a zero, which is when
-/// the zero-term skip can fire.
-fn tile<const R: usize, const C: usize>(
-    groups: Groups,
-    skip: bool,
-    dst: &mut [f64],
+/// Where one block lands: its row `r` is `out[r * n..][..w]`, written or,
+/// with `accumulate`, added to.
+struct Dst<'a> {
+    out: &'a mut [f64],
     n: usize,
     w: usize,
-) {
-    let mut acc = [[0.0; C]; R];
+    accumulate: bool,
+}
+
+/// Compute one block of `R` rows and `V` lanes of `L` and store its first
+/// `dst.w` columns. `skip` says whether `a` holds a zero, which is when
+/// the zero-term skip can fire.
+fn tile<L: Lane, const R: usize, const V: usize>(groups: Groups, skip: bool, dst: Dst) {
+    let mut acc = [[L::zero(); V]; R];
     if skip {
-        micro::<R, C, true>(groups, &mut acc);
+        micro::<L, R, V, true>(groups, &mut acc);
     } else {
-        micro::<R, C, false>(groups, &mut acc);
+        micro::<L, R, V, false>(groups, &mut acc);
     }
+    let Dst {
+        out,
+        n,
+        w,
+        accumulate,
+    } = dst;
     for (r, row) in acc.iter().enumerate() {
-        let d = &mut dst[r * n..][..w];
-        match <&mut [f64; C]>::try_from(&mut *d) {
-            Ok(full) => *full = *row,
-            Err(_) => d.copy_from_slice(&row[..w]),
+        let d = &mut out[r * n..][..w];
+        if !accumulate && w == V * L::N {
+            for (v, lane) in row.iter().enumerate() {
+                lane.store(&mut d[v * L::N..]);
+            }
+            continue;
+        }
+        let mut vals = [0.0; WIDE];
+        for (v, lane) in row.iter().enumerate() {
+            lane.store(&mut vals[v * L::N..]);
+        }
+        if accumulate {
+            for (d, x) in d.iter_mut().zip(&vals) {
+                *d += x;
+            }
+        } else {
+            d.copy_from_slice(&vals[..w]);
         }
     }
 }
 
-/// The micro-kernel: `out[r][t] = Σ_q a(r, q) * b(q, t)` over the groups.
+/// The micro-kernel: `out[r][t] = Σ_q a(r, q) * b(q, t)` over the groups,
+/// column `t` being slot `t % N` of lane `t / N`.
 ///
 /// Each accumulator adds its `k` terms in ascending `q`, one IEEE
 /// multiply then one add per term, skipping terms whose `a` value is
@@ -434,23 +719,24 @@ fn tile<const R: usize, const C: usize>(
 /// per-row branch in the common path each made LLVM spill, shuffle or
 /// scalarize the accumulators (2-8x slower in release builds).
 #[inline(never)]
-fn micro<const R: usize, const C: usize, const SKIP: bool>(
+fn micro<L: Lane, const R: usize, const V: usize, const SKIP: bool>(
     groups: Groups,
-    out: &mut [[f64; C]; R],
+    out: &mut [[L; V]; R],
 ) {
     let Groups { a, lda, b, ldb, k } = groups;
-    let mut acc = [[0.0; C]; R];
+    let mut acc = [[L::zero(); V]; R];
     let a = &a[..(k - 1) * lda + R];
-    let b = &b[..(k - 1) * ldb + C];
+    let b = &b[..(k - 1) * ldb + V * L::N];
     for q in 0..k {
         let av: &[f64; R] = a[q * lda..q * lda + R].try_into().expect("R-long slice");
-        let bv: &[f64; C] = b[q * ldb..q * ldb + C].try_into().expect("C-long slice");
+        let bv: [L; V] = L::load_row(&b[q * ldb..]);
         for r in 0..R {
             if SKIP && av[r] == 0.0 {
                 continue;
             }
-            for t in 0..C {
-                acc[r][t] += av[r] * bv[t];
+            let ar = L::splat(av[r]);
+            for v in 0..V {
+                acc[r][v] = acc[r][v].mul_add(ar, bv[v]);
             }
         }
     }

@@ -15,10 +15,27 @@ pub struct MlpWeights {
 
 /// A multilayer perceptron: `sizes = [in, h1, ..., out]`, with the given
 /// hidden activation and an identity output layer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
     acts: Vec<Activation>,
+}
+
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Mlp {
+            layers: self.layers.clone(),
+            acts: self.acts.clone(),
+        }
+    }
+
+    /// Copies weights, gradients and caches into this network's existing
+    /// buffers: a snapshot into a recycled network of the same shape
+    /// allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+        self.acts.clone_from(&source.acts);
+    }
 }
 
 impl Mlp {
@@ -111,19 +128,14 @@ impl Mlp {
     /// Forward through layers `r` only (caching), feeding `x` into layer
     /// `r.start`. Returns the activation leaving layer `r.end - 1`.
     pub fn forward_range(&mut self, r: Range<usize>, x: &Matrix) -> Matrix {
-        assert!(r.start < r.end && r.end <= self.layers.len(), "bad range");
-        let mut h = x.clone();
-        for i in r {
-            h = self.acts[i].forward(&self.layers[i].forward(&h));
-        }
-        h
+        self.forward_range_owned(r, x.clone())
     }
 
     /// Forward through layers `r` taking ownership of the input: per
-    /// layer, the input lands in the cache without a defensive clone.
+    /// layer, the input lands in the cache without a defensive clone, and
+    /// each output reuses the buffer of the cache it replaces.
     /// Bit-identical to [`Mlp::forward_range`] — the execution runtime's
-    /// hot path uses this to avoid one input copy per layer per
-    /// mini-batch.
+    /// hot path uses this so a warm network allocates nothing.
     pub fn forward_range_owned(&mut self, r: Range<usize>, x: Matrix) -> Matrix {
         assert!(r.start < r.end && r.end <= self.layers.len(), "bad range");
         let mut h = x;
@@ -153,12 +165,37 @@ impl Mlp {
     /// parameter gradients for those layers and returns the gradient
     /// w.r.t. the input of layer `r.start`.
     pub fn backward_range(&mut self, r: Range<usize>, grad_out: &Matrix) -> Matrix {
+        self.backward_range_owned(r, grad_out.clone(), true)
+            .expect("input gradient requested")
+    }
+
+    /// Backward through layers `r` taking ownership of the gradient:
+    /// activations scale it in place, each layer's input gradient is
+    /// written into a recycled buffer and the spent one is recycled
+    /// ([`Matrix::recycle`]), so a warm pass allocates nothing.
+    /// Bit-identical to [`Mlp::backward_range`]. With `input_grad` false,
+    /// layer `r.start` only accumulates its parameter gradients and the
+    /// product that would feed nothing is skipped: the result is `None`.
+    pub fn backward_range_owned(
+        &mut self,
+        r: Range<usize>,
+        mut g: Matrix,
+        input_grad: bool,
+    ) -> Option<Matrix> {
         assert!(r.start < r.end && r.end <= self.layers.len(), "bad range");
-        let mut g = grad_out.clone();
-        for i in r.rev() {
-            g = self.layers[i].backward(&self.acts[i].backward(&g));
+        for i in r.clone().rev() {
+            self.acts[i].backward_in_place(&mut g);
+            let layer = &mut self.layers[i];
+            layer.accumulate_grads(&g);
+            if i == r.start && !input_grad {
+                g.recycle();
+                return None;
+            }
+            let mut dx = Matrix::scratch(0, 0);
+            layer.input_grad_into(&g, &mut dx);
+            std::mem::replace(&mut g, dx).recycle();
         }
-        g
+        Some(g)
     }
 
     /// All parameters for an optimizer.

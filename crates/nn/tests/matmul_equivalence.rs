@@ -142,12 +142,13 @@ fn matmul_digest_stable_across_thread_counts() {
     }
 }
 
-/// Every row-block remainder (`m` across two 4-row blocks), every panel
-/// remainder around the 16-column panel, and the degenerate `k`.
+/// Every row-block remainder (`m` across two 8-row blocks and into a
+/// third), every panel remainder around the 16-column panel and widths
+/// that are no multiple of it, and the degenerate `k`.
 #[test]
 fn micro_tile_edges_match_naive() {
-    for m in 1..=9 {
-        for n in [1, 15, 16, 17, 33] {
+    for m in 1..=17 {
+        for n in [1, 7, 15, 16, 17, 24, 33, 40] {
             for k in [0, 1, 2, 5] {
                 let a = Matrix::xavier(m, k, 31 + (m * 100 + k) as u64);
                 let b = Matrix::xavier(k, n, 37 + (n * 100 + k) as u64);
@@ -208,12 +209,22 @@ fn zero_skip_semantics_are_preserved() {
 /// `-0.0` must skip like `0.0`; `inf` and `NaN` in either operand must
 /// propagate exactly as the naive loop propagates them — with and without
 /// zeros elsewhere in `a` (the kernel compiles the skip in only when `a`
-/// holds a zero), and in rows where some of a 4-row block's `a` values
-/// are zero and some are not.
+/// holds a zero), and in rows where some of a row block's `a` values
+/// are zero and some are not: full 8-row blocks, their remainders, and
+/// widths that are no multiple of 16.
 #[test]
 fn signed_zero_inf_and_nan_match_naive() {
     let specials = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
-    for &(m, k, n) in &[(5, 7, 17), (4, 16, 16), (1, 9, 33), (9, 1, 3)] {
+    let shapes = [
+        (5, 7, 17),
+        (4, 16, 16),
+        (1, 9, 33),
+        (9, 1, 3),
+        (8, 16, 16),
+        (17, 5, 23),
+        (12, 3, 40),
+    ];
+    for &(m, k, n) in &shapes {
         for (si, &sa) in specials.iter().enumerate() {
             for &sb in &specials {
                 for zero_row in [false, true] {
@@ -238,6 +249,50 @@ fn signed_zero_inf_and_nan_match_naive() {
                 }
             }
         }
+    }
+}
+
+/// The buffer-reusing forms write the allocating forms' bits whatever
+/// the output buffer held before, and `t_matmul_acc` adds exactly what
+/// `add_assign(&t_matmul(..))` adds — onto `-0.0`, `inf` and `NaN` too,
+/// and with an empty inner dimension.
+#[test]
+fn into_and_accumulate_forms_match_allocating_forms() {
+    let mut out = Matrix::from_vec(2, 3, vec![f64::NAN, -0.0, 7.0, f64::INFINITY, 1.0, 2.0]);
+    for &(m, k, n) in &[(1, 5, 16), (9, 7, 17), (16, 16, 40), (3, 0, 5), (20, 33, 1)] {
+        let mut a = Matrix::xavier(m, k, 61);
+        for idx in (0..m * k).step_by(4) {
+            a.data_mut()[idx] = 0.0;
+        }
+        let b = Matrix::xavier(k, n, 62);
+        let label = format!("{m}x{k}x{n}");
+        a.matmul_into(&b, &mut out);
+        assert_bits_equal(&out, &naive_matmul(&a, &b), &format!("{label} matmul_into"));
+        a.matmul_t_into(&b.transpose(), &mut out);
+        assert_bits_equal(
+            &out,
+            &naive_matmul(&a, &b),
+            &format!("{label} matmul_t_into"),
+        );
+
+        let at = a.transpose();
+        let mut acc = Matrix::xavier(m, n, 63);
+        let specials = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for (v, s) in acc.data_mut().iter_mut().zip(specials.iter().cycle()) {
+            if v.to_bits() % 3 == 0 {
+                *v = *s;
+            }
+        }
+        let mut want = acc.clone();
+        want.add_assign(&at.t_matmul(&b));
+        at.t_matmul_acc(&b, &mut acc);
+        assert_bits_equal(&acc, &want, &format!("{label} t_matmul_acc"));
+
+        let mut sums = Matrix::from_vec(1, n, vec![-0.0; n]);
+        let mut want = sums.clone();
+        want.add_assign(&b.sum_rows());
+        sums.add_sum_rows(&b);
+        assert_bits_equal(&sums, &want, &format!("{label} add_sum_rows"));
     }
 }
 

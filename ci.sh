@@ -22,6 +22,15 @@ echo "== test =="
 # blocks a merge.
 cargo test -q --offline --workspace
 
+echo "== planner release equivalence =="
+# The daemon serves answers from release code, where floating-point
+# codegen may differ from the debug test build. PipeDream's pruned DP
+# must still match its golden answers and its full-scan oracle, and
+# every move priced from a stage table must still equal the built
+# candidate's price, bit for bit, in release.
+cargo test -q --release --offline -p ap-planner --test pipedream_golden --test pipedream_oracle
+cargo test -q --release --offline -p autopipe --test delta_pricing
+
 echo "== matmul release equivalence =="
 # The equivalence suite runs in debug, where vectorized codegen differs
 # from what ships. matmul_bench asserts that the kernel and its

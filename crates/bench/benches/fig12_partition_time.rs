@@ -3,11 +3,12 @@
 //! Benchmarks the three deciders on the paper's models: PipeDream's DP,
 //! the meta-network scoring one full incremental neighborhood, and a
 //! single RL-arbiter pass. The paper reports meta-net + RL well below the
-//! DP and everything under a second.
+//! DP and everything under a second. The DP alone is also timed on the
+//! deepest served models, ResNet-101 and ResNet-152.
 
 use ap_bench::timing;
 use ap_cluster::{gbps, GpuId};
-use ap_models::{alexnet, resnet50, vgg16, ModelProfile};
+use ap_models::{alexnet, resnet101, resnet152, resnet50, vgg16, ModelProfile};
 use ap_planner::{pipedream_plan, two_worker_moves, PipeDreamView};
 use autopipe::arbiter::{Arbiter, ArbiterInput};
 use autopipe::metrics::{static_metrics_from_profile, FeatureEncoder, DYNAMIC_DIM};
@@ -62,6 +63,13 @@ fn main() {
                 horizon_iterations: 100.0,
                 mean_bandwidth_norm: 0.25,
             })));
+        });
+    }
+
+    for model in [resnet101(), resnet152()] {
+        let profile = ModelProfile::of(&model);
+        timing::run(&format!("pipedream_dp/{}", model.name), runs, || {
+            black_box(pipedream_plan(black_box(&profile), &gpus, view));
         });
     }
 }

@@ -59,9 +59,10 @@ impl Scorer {
     /// This is the hot path of a decision round — O(L²) candidates:
     ///
     /// * **Analytic** prices `base` into a stage table once, then each
-    ///   move against it ([`MoveKind::throughput`]): a boundary shift or a
-    ///   replica migration re-prices two stages and the cuts beside them;
-    ///   only merges, splits and drops build their candidate. A round
+    ///   move against it ([`MoveKind::throughput`]): every move replaces
+    ///   one or two stages by one or two new ones and re-prices only those
+    ///   and the cuts beside them; no candidate is built unless the move
+    ///   toggles a calibrated weight stash. A round
     ///   costs tens of microseconds, less than handing work to another
     ///   thread, so it runs serially on the calling thread.
     /// * **MetaNet**: the dynamic history is identical for every

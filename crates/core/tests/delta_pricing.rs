@@ -247,3 +247,96 @@ fn ties_go_to_the_last_maximum_like_a_serial_scan() {
     }
     assert!(ties > 0, "no constructed tie: the test lost its subject");
 }
+
+/// A three-stage base on a uniform model whose middle stage has two
+/// replicas, so every split adds a fourth stage and keeps a stage on
+/// each side of it. The first stage holds half the layers: it is the
+/// slowest stage before and after a split.
+fn splittable_base(in_flight: usize) -> (ModelProfile, Partition) {
+    let profile = ModelProfile::with_batch(&synthetic_uniform(12, 1e9, 4e5, 2e6), 32);
+    let base = Partition {
+        stages: vec![
+            ap_pipesim::Stage::new(0..6, vec![GpuId(0)]),
+            ap_pipesim::Stage::new(6..9, vec![GpuId(1), GpuId(2)]),
+            ap_pipesim::Stage::new(9..12, vec![GpuId(3)]),
+        ],
+        in_flight,
+    };
+    (profile, base)
+}
+
+/// Runtime overheads that dwarf compute: a second per stage and a
+/// stash cost per byte that moves the first stage's time.
+fn heavy_calibration(compute_slots: usize) -> Calibration {
+    Calibration {
+        per_frame_s: 2.0e-5,
+        per_byte_s: 1.0e-10,
+        stage_overhead_s: 1.0,
+        stash_byte_s: 2.0e-9,
+        compute_slots,
+    }
+}
+
+#[test]
+fn split_past_the_compute_slots_prices_the_host_capacity_exactly() {
+    let (profile, mut base) = splittable_base(1);
+    base.in_flight = base.default_in_flight();
+    let st = ClusterState::new(ClusterTopology::single_switch(4, 1, GpuKind::P100, 25.0));
+    // As many slots as the base has stages: the base fits, every split
+    // is one stage over, and the per-stage overhead makes the host's
+    // aggregate capacity the bottleneck.
+    let model = AnalyticModel {
+        profile: &profile,
+        scheme: SyncScheme::RingAllReduce,
+        framework: Framework::pytorch(),
+        schedule: ScheduleKind::PipeDreamAsync,
+        calibration: Some(heavy_calibration(base.n_stages())),
+    };
+    let table = model.table(&base, &st);
+    let splits = ap_planner::split_moves(&base, &profile);
+    assert!(!splits.is_empty());
+    for mv in splits {
+        let cand = mv.apply(&base);
+        assert!(
+            base.in_flight > 1 && cand.in_flight > 1,
+            "the stash stays on"
+        );
+        let host = 2 * cand.n_stages() - 1;
+        assert_eq!(model.evaluate(&cand, &st).bottleneck, host, "{mv:?}");
+        assert_ne!(
+            model.evaluate(&base, &st).bottleneck,
+            2 * base.n_stages() - 1
+        );
+        let delta = mv.throughput(&model, &table, &base, &st);
+        let full = model.throughput(&cand, &st);
+        assert_eq!(delta.to_bits(), full.to_bits(), "{mv:?}: {delta} vs {full}");
+    }
+}
+
+#[test]
+fn split_that_turns_the_stash_on_prices_exactly() {
+    // Depth 1: no stash. A split resets the depth to the candidate's
+    // default, deeper than 1, so the calibrated stash turns on and the
+    // occupancy of every stage but the last changes, the kept first
+    // stage's too.
+    let (profile, base) = splittable_base(1);
+    let st = ClusterState::new(ClusterTopology::single_switch(4, 1, GpuKind::P100, 25.0));
+    let model = AnalyticModel {
+        profile: &profile,
+        scheme: SyncScheme::RingAllReduce,
+        framework: Framework::pytorch(),
+        schedule: ScheduleKind::PipeDreamAsync,
+        calibration: Some(heavy_calibration(0)),
+    };
+    let table = model.table(&base, &st);
+    let splits = ap_planner::split_moves(&base, &profile);
+    assert!(!splits.is_empty());
+    for mv in splits {
+        let cand = mv.apply(&base);
+        assert!(cand.in_flight > 1, "{mv:?} keeps the stash off");
+        assert_eq!(model.evaluate(&cand, &st).bottleneck, 0, "{mv:?}");
+        let delta = mv.throughput(&model, &table, &base, &st);
+        let full = model.throughput(&cand, &st);
+        assert_eq!(delta.to_bits(), full.to_bits(), "{mv:?}: {delta} vs {full}");
+    }
+}

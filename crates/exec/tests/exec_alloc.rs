@@ -1,8 +1,9 @@
 //! A steady pipeline mini-batch allocates almost nothing. Stage threads
 //! recycle every activation and gradient tensor, reuse retired stash
-//! networks, and their layers write into the buffers of the caches they
-//! replace, so running twice as many mini-batches only adds the small
-//! bookkeeping allocations of the op replay (map nodes, result vectors).
+//! networks and zero their gradients in place, and their layers write
+//! into the buffers of the caches they replace, so running twice as many
+//! mini-batches only adds the small bookkeeping allocations of a longer
+//! program (its validation maps and result vectors).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,9 +37,11 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per steady mini-batch may not exceed this. It bounds
-/// bookkeeping only: this spec makes 6.8 per mini-batch, where
-/// allocating every tensor afresh made 79.7.
-const PER_MB: usize = 8;
+/// bookkeeping only: this spec makes 1.7 to 1.8 per mini-batch. It made
+/// 79.7 when every tensor was allocated afresh, and 6.8 while a stash
+/// snapshot zeroed its gradients through a collected parameter list and
+/// program validation built a set per stash push.
+const PER_MB: usize = 2;
 
 fn spec(total: u64) -> ExecSpec {
     ExecSpec {

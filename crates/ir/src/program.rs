@@ -554,6 +554,8 @@ impl Program {
             let mut fwd: BTreeMap<UnitId, u32> = BTreeMap::new();
             let mut bwd: BTreeMap<UnitId, u32> = BTreeMap::new();
             let mut live: BTreeMap<UnitId, u64> = BTreeMap::new();
+            // The live versions, deduplicated; reused across pushes.
+            let mut distinct: Vec<u64> = Vec::new();
             let mut applied_units = 0u64;
             for op in &sp.ops {
                 if op.mb() >= self.total {
@@ -570,7 +572,10 @@ impl Program {
                         if live.insert(unit, weight_version).is_some() {
                             return err(format!("double stash push for {unit:?}"));
                         }
-                        let distinct: BTreeSet<u64> = live.values().copied().collect();
+                        distinct.clear();
+                        distinct.extend(live.values());
+                        distinct.sort_unstable();
+                        distinct.dedup();
                         if distinct.len() > version_budget {
                             return err(format!(
                                 "{} distinct weight versions live, budget {}",

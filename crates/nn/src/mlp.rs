@@ -208,8 +208,9 @@ impl Mlp {
 
     /// Zero all gradients.
     pub fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
+        for l in &mut self.layers {
+            l.w.zero_grad();
+            l.b.zero_grad();
         }
     }
 

@@ -6,11 +6,14 @@
 //! *actual* cluster state — heterogeneous per-worker bandwidth and compute,
 //! PS or Ring sync, framework constants, per-schedule bubbles — in O(L + N).
 //!
-//! Pricing is two steps: build a [`StageTable`] (one row per stage and
-//! per cut), then reduce it to an iteration time. A move that changes two
-//! adjacent stages re-prices only their rows and the cuts beside them
-//! against the base partition's table ([`AnalyticModel::edited_throughput`]),
-//! through the same row formulas and the same reduction, so its price is
+//! Pricing is two steps: price a row per stage and per cut, then reduce
+//! the rows to an iteration time. [`AnalyticModel::throughput`] streams
+//! the rows into the reduction; [`AnalyticModel::table`] keeps them as a
+//! [`StageTable`]. An edit that replaces a run of consecutive stages by
+//! one or two new ones ([`SpanEdit`]: every incremental move) re-prices
+//! only the new rows and the cuts beside them against the base
+//! partition's table ([`AnalyticModel::edited_throughput`]), through the
+//! same row formulas and the same reduction, so its price is
 //! bit-identical to pricing the edited partition from scratch.
 //!
 //! The event engine cross-validates it: on uniform pipelines the two agree
@@ -18,13 +21,13 @@
 
 use std::ops::Range;
 
-use ap_cluster::{ClusterState, GpuId};
+use ap_cluster::ClusterState;
 use ap_ir::ScheduleKind;
 use ap_models::ModelProfile;
 
 use crate::calibration::Calibration;
 use crate::framework::Framework;
-use crate::partition::{Partition, Stage};
+use crate::partition::{Partition, Replicas, Stage};
 use crate::sync::{pair_bw, SyncLinks, SyncScheme};
 
 /// Everything fixed about the workload except the partition and cluster
@@ -106,18 +109,98 @@ pub struct StageTable {
     in_flight: usize,
 }
 
-/// A change confined to two adjacent stages of a base partition: a moved
-/// boundary between them, new replica sets for them, or both.
+/// Where a new stage of a [`SpanEdit`] gets its replicas.
 #[derive(Debug, Clone, Copy)]
-pub struct PairEdit<'w> {
-    /// Left stage of the pair.
-    pub left: usize,
-    /// First layer of the right stage.
-    pub boundary: usize,
-    /// New replica sets of the left and right stage; `None` keeps both.
-    pub workers: Option<(&'w [GpuId], &'w [GpuId])>,
+pub enum EditWorkers<'w> {
+    /// Base stage `s`'s replica set, unchanged: its terms, and its pair
+    /// means with an unchanged neighbour, come from the table.
+    Base(usize),
+    /// A new replica set.
+    New(Replicas<'w>),
+}
+
+impl<'w> EditWorkers<'w> {
+    /// The replica list, read from `base` for [`EditWorkers::Base`].
+    pub fn resolve(self, base: &'w Partition) -> Replicas<'w> {
+        match self {
+            EditWorkers::Base(s) => Replicas::of(&base.stages[s].workers),
+            EditWorkers::New(r) => r,
+        }
+    }
+}
+
+/// A new stage of a [`SpanEdit`].
+#[derive(Debug, Clone)]
+pub struct EditStage<'w> {
+    /// Layers it computes.
+    pub layers: Range<usize>,
+    /// Its replicas.
+    pub workers: EditWorkers<'w>,
+}
+
+/// A change confined to the consecutive stages `first..=last` of a base
+/// partition: they are replaced by one or two new stages. A moved
+/// boundary, a migrated replica, a merge, a split and a dropped replica
+/// are all span edits.
+#[derive(Debug, Clone)]
+pub struct SpanEdit<'w> {
+    /// First replaced stage.
+    pub first: usize,
+    /// Last replaced stage (inclusive).
+    pub last: usize,
+    /// The stages that replace them, in order.
+    pub stages: (EditStage<'w>, Option<EditStage<'w>>),
     /// In-flight depth of the edited partition.
     pub in_flight: usize,
+}
+
+impl<'w> SpanEdit<'w> {
+    /// The new stages in order.
+    pub fn new_stages(&self) -> impl Iterator<Item = &EditStage<'w>> {
+        std::iter::once(&self.stages.0).chain(self.stages.1.as_ref())
+    }
+
+    /// Stage count of the edited partition of `base`.
+    pub fn n_stages(&self, base: &Partition) -> usize {
+        base.n_stages() - (self.last + 1 - self.first) + 1 + usize::from(self.stages.1.is_some())
+    }
+
+    /// [`Partition::default_in_flight`] of the edited partition of
+    /// `base`, from its worker and stage counts.
+    pub fn default_depth(&self, base: &'w Partition) -> usize {
+        let replaced: usize = base.stages[self.first..=self.last]
+            .iter()
+            .map(Stage::n_workers)
+            .sum();
+        let added: usize = self
+            .new_stages()
+            .map(|st| st.workers.resolve(base).len())
+            .sum();
+        let input = match self.first {
+            0 => self.stages.0.workers.resolve(base).len(),
+            _ => base.stages[0].n_workers(),
+        };
+        Partition::default_depth(
+            base.n_workers() - replaced + added,
+            self.n_stages(base),
+            input,
+        )
+    }
+
+    /// The edited partition of `base`, built.
+    pub fn apply(&self, base: &'w Partition) -> Partition {
+        let mut stages = Vec::with_capacity(self.n_stages(base));
+        stages.extend_from_slice(&base.stages[..self.first]);
+        stages.extend(
+            self.new_stages()
+                .map(|st| Stage::new(st.layers.clone(), st.workers.resolve(base).to_vec())),
+        );
+        stages.extend_from_slice(&base.stages[self.last + 1..]);
+        Partition {
+            stages,
+            in_flight: self.in_flight,
+        }
+    }
 }
 
 impl<'a> AnalyticModel<'a> {
@@ -125,12 +208,12 @@ impl<'a> AnalyticModel<'a> {
     /// round-robin whole mini-batches (PipeDream's scheme), so a
     /// straggling replica throttles the stage: the sustained rate is m x
     /// the slowest replica, not the pooled sum.
-    fn replica_terms(&self, workers: &[GpuId], state: &ClusterState) -> ReplicaTerms {
+    fn replica_terms(&self, workers: Replicas<'_>, state: &ClusterState) -> ReplicaTerms {
         ReplicaTerms {
             count: workers.len(),
             min_rate: workers
                 .iter()
-                .map(|&w| state.effective_flops(w) * self.framework.compute_efficiency)
+                .map(|w| state.effective_flops(w) * self.framework.compute_efficiency)
                 .fold(f64::INFINITY, f64::min),
             sync: self.scheme.links(workers, state),
         }
@@ -209,11 +292,11 @@ impl<'a> AnalyticModel<'a> {
     /// mini-batch is the average of per-pair times — i.e. the harmonic
     /// mean of the pairwise bandwidths. (An arithmetic mean would let one
     /// fast colocated pair hide many slow cross-server pairs.)
-    fn sec_per_byte(senders: &[GpuId], receivers: &[GpuId], state: &ClusterState) -> f64 {
+    fn sec_per_byte(senders: Replicas<'_>, receivers: Replicas<'_>, state: &ClusterState) -> f64 {
         let mut inv_sum = 0.0;
         let mut n = 0usize;
-        for &a in senders {
-            for &b in receivers {
+        for a in senders.iter() {
+            for b in receivers.iter() {
                 inv_sum += 1.0 / pair_bw(a, b, state);
                 n += 1;
             }
@@ -233,23 +316,33 @@ impl<'a> AnalyticModel<'a> {
     }
 
     fn cut_between(&self, left: &Stage, right: &Stage, state: &ClusterState) -> CutRow {
-        let spb = Self::sec_per_byte(&left.workers, &right.workers, state);
+        let spb = Self::sec_per_byte(
+            Replicas::of(&left.workers),
+            Replicas::of(&right.workers),
+            state,
+        );
         self.cut_row(left.layers.end - 1, spb)
+    }
+
+    /// The row of stage `s` of `partition`, priced from scratch.
+    fn stage_of(&self, partition: &Partition, s: usize, state: &ClusterState) -> StageRow {
+        let st = &partition.stages[s];
+        let terms = self.replica_terms(Replicas::of(&st.workers), state);
+        self.stage_row(
+            st.layers.clone(),
+            s,
+            partition.n_stages(),
+            partition.in_flight,
+            terms,
+        )
     }
 
     /// Price every stage and cut of `partition`.
     pub fn table(&self, partition: &Partition, state: &ClusterState) -> StageTable {
         debug_assert!(partition.validate(self.profile.n_layers()).is_ok());
-        let n = partition.n_stages();
         StageTable {
-            stages: partition
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(s, st)| {
-                    let terms = self.replica_terms(&st.workers, state);
-                    self.stage_row(st.layers.clone(), s, n, partition.in_flight, terms)
-                })
+            stages: (0..partition.n_stages())
+                .map(|s| self.stage_of(partition, s, state))
                 .collect(),
             cuts: partition
                 .stages
@@ -261,37 +354,46 @@ impl<'a> AnalyticModel<'a> {
     }
 
     /// The bottleneck unit time and its index over `n_stages` stage rows
-    /// and their cuts. A host with fewer compute slots than stages adds
-    /// one more bottleneck: its aggregate capacity across all stage
-    /// threads — it can finish at most `slots` stage-seconds per
+    /// and their cuts, each row asked for once, in stage order. The first
+    /// slowest stage is the bottleneck unless a cut is strictly slower
+    /// (then the first slowest cut). A host with fewer compute slots than
+    /// stages adds one more bottleneck: its aggregate capacity across all
+    /// stage threads — it can finish at most `slots` stage-seconds per
     /// wall-second, so `Σ occupancy / slots` (summed in stage order) is a
     /// hard floor; on a one-core host it is the serialized sum of stage
     /// work.
-    fn bottleneck<'t>(
+    fn bottleneck(
         &self,
         n_stages: usize,
-        stage: impl Fn(usize) -> &'t StageRow,
-        cut: impl Fn(usize) -> &'t CutRow,
+        mut stage: impl FnMut(usize) -> StageRow,
+        mut cut: impl FnMut(usize) -> CutRow,
     ) -> (f64, usize) {
         let n_cuts = n_stages - 1;
-        let (mut bottleneck, mut unit) = (0usize, 0.0f64);
-        for i in 0..n_stages {
-            let t = stage(i).time;
-            if t > unit {
-                unit = t;
-                bottleneck = i;
+        let (mut stage_unit, mut stage_at) = (0.0f64, 0usize);
+        let (mut cut_unit, mut cut_at) = (0.0f64, 0usize);
+        let mut total = 0.0;
+        for s in 0..n_stages {
+            let row = stage(s);
+            if row.time > stage_unit {
+                stage_unit = row.time;
+                stage_at = s;
+            }
+            total += row.occupancy;
+            if s < n_cuts {
+                let t = cut(s).time;
+                if t > cut_unit {
+                    cut_unit = t;
+                    cut_at = s;
+                }
             }
         }
-        for i in 0..n_cuts {
-            let t = cut(i).time;
-            if t > unit {
-                unit = t;
-                bottleneck = n_stages + i;
-            }
+        let (mut unit, mut bottleneck) = (stage_unit, stage_at);
+        if cut_unit > unit {
+            unit = cut_unit;
+            bottleneck = n_stages + cut_at;
         }
         if let Some(c) = self.calibration {
             if c.compute_slots != 0 && n_stages > c.compute_slots {
-                let total: f64 = (0..n_stages).map(|s| stage(s).occupancy).sum();
                 let cap = total / c.compute_slots as f64;
                 if cap > unit {
                     unit = cap;
@@ -322,7 +424,7 @@ impl<'a> AnalyticModel<'a> {
     pub fn evaluate(&self, partition: &Partition, state: &ClusterState) -> Eval {
         let table = self.table(partition, state);
         let n = table.stages.len();
-        let (unit, bottleneck) = self.bottleneck(n, |s| &table.stages[s], |c| &table.cuts[c]);
+        let (unit, bottleneck) = self.bottleneck(n, |s| table.stages[s], |c| table.cuts[c]);
         let iteration_time = self.iteration_time(unit, n);
         Eval {
             iteration_time,
@@ -333,81 +435,86 @@ impl<'a> AnalyticModel<'a> {
         }
     }
 
-    /// Throughput shortcut.
+    /// [`Eval::throughput`] of `partition`, its rows streamed into the
+    /// reduction instead of kept.
     pub fn throughput(&self, partition: &Partition, state: &ClusterState) -> f64 {
-        self.evaluate(partition, state).throughput
+        debug_assert!(partition.validate(self.profile.n_layers()).is_ok());
+        let stages = &partition.stages;
+        let n = stages.len();
+        let (unit, _) = self.bottleneck(
+            n,
+            |s| self.stage_of(partition, s, state),
+            |c| self.cut_between(&stages[c], &stages[c + 1], state),
+        );
+        self.profile.batch as f64 / self.iteration_time(unit, n)
     }
 
-    /// Throughput of `base` after `edit`, re-pricing only the edited pair
-    /// and the cuts beside it against `table` (the base's own table).
-    /// Equal bit for bit to [`AnalyticModel::throughput`] of the edited
-    /// partition. An edit that turns the weight stash on or off under a
-    /// calibration changes every stage's occupancy, so it re-prices the
-    /// whole edited partition instead.
+    /// Throughput of `base` after `edit`, pricing only the new stages and
+    /// the cuts beside them against `table` (the base's own table). Equal
+    /// bit for bit to [`AnalyticModel::throughput`] of the edited
+    /// partition: a kept stage's row depends on its position only through
+    /// whether it is first or last, which a span edit never changes. An
+    /// edit that turns the weight stash on or off under a calibration
+    /// changes every stage's occupancy, so it prices the built edited
+    /// partition instead.
     pub fn edited_throughput(
         &self,
         table: &StageTable,
         base: &Partition,
-        edit: &PairEdit<'_>,
+        edit: &SpanEdit<'_>,
         state: &ClusterState,
     ) -> f64 {
-        let (a, b) = (edit.left, edit.left + 1);
-        let n = base.n_stages();
-        let left = base.stages[a].layers.start..edit.boundary;
-        let right = edit.boundary..base.stages[b].layers.end;
         if self.calibration.is_some()
             && self.stashes(edit.in_flight) != self.stashes(table.in_flight)
         {
-            let mut p = base.clone();
-            p.stages[a].layers = left;
-            p.stages[b].layers = right;
-            if let Some((wa, wb)) = edit.workers {
-                p.stages[a].workers = wa.to_vec();
-                p.stages[b].workers = wb.to_vec();
-            }
-            p.in_flight = edit.in_flight;
-            return self.throughput(&p, state);
+            return self.throughput(&edit.apply(base), state);
         }
-        let row = |s: usize, layers, terms| self.stage_row(layers, s, n, edit.in_flight, terms);
+        let first = edit.first;
+        let n = edit.n_stages(base);
+        // Kept stage `s` of the edited partition is base stage `s` before
+        // the span and `s + span - added` after it.
+        let span = edit.last + 1 - first;
+        let added = 1 + usize::from(edit.stages.1.is_some());
+        let mut rows = [None; 2];
+        for (k, st) in edit.new_stages().enumerate() {
+            let terms = match st.workers {
+                EditWorkers::Base(s) => table.stages[s].replicas,
+                EditWorkers::New(r) => self.replica_terms(r, state),
+            };
+            rows[k] = Some(self.stage_row(st.layers.clone(), first + k, n, edit.in_flight, terms));
+        }
+        // Each stage of the edited partition as (replicas, end layer).
+        let side = |s: usize| {
+            if s >= first && s < first + added {
+                let st = edit.new_stages().nth(s - first).expect("a new stage");
+                (st.workers, st.layers.end)
+            } else {
+                let b = if s < first { s } else { s + span - added };
+                (EditWorkers::Base(b), base.stages[b].layers.end)
+            }
+        };
+        // The cuts beside and between the new stages, edited cut `c` at
+        // `cuts[c + 1 - first]`.
         let mut cuts = [None; 3];
-        let (ra, rb) = match edit.workers {
-            // Same replicas: reuse their terms and the cut's pair means.
-            None => {
-                cuts[1] = Some(self.cut_row(edit.boundary - 1, table.cuts[a].sec_per_byte));
-                (
-                    row(a, left, table.stages[a].replicas),
-                    row(b, right, table.stages[b].replicas),
-                )
-            }
-            Some((wa, wb)) => {
-                if a > 0 {
-                    let prev = &base.stages[a - 1];
-                    let spb = Self::sec_per_byte(&prev.workers, wa, state);
-                    cuts[0] = Some(self.cut_row(prev.layers.end - 1, spb));
+        for c in first.saturating_sub(1)..(first + added).min(n - 1) {
+            let ((left, end), (right, _)) = (side(c), side(c + 1));
+            let spb = match (left, right) {
+                (EditWorkers::Base(a), EditWorkers::Base(b)) if b == a + 1 => {
+                    table.cuts[a].sec_per_byte
                 }
-                let spb = Self::sec_per_byte(wa, wb, state);
-                cuts[1] = Some(self.cut_row(edit.boundary - 1, spb));
-                if b + 1 < n {
-                    let spb = Self::sec_per_byte(wb, &base.stages[b + 1].workers, state);
-                    cuts[2] = Some(self.cut_row(right.end - 1, spb));
-                }
-                (
-                    row(a, left, self.replica_terms(wa, state)),
-                    row(b, right, self.replica_terms(wb, state)),
-                )
-            }
+                _ => Self::sec_per_byte(left.resolve(base), right.resolve(base), state),
+            };
+            cuts[c + 1 - first] = Some(self.cut_row(end - 1, spb));
+        }
+        let stage = |s: usize| match s.checked_sub(first) {
+            Some(k) if k < added => rows[k].expect("a new row"),
+            Some(_) => table.stages[s + span - added],
+            None => table.stages[s],
         };
-        let stage = |s: usize| match s {
-            _ if s == a => &ra,
-            _ if s == b => &rb,
-            _ => &table.stages[s],
-        };
-        let cut = |c: usize| {
-            let edited = (c + 1).checked_sub(a).and_then(|k| cuts.get(k));
-            match edited {
-                Some(Some(row)) => row,
-                _ => &table.cuts[c],
-            }
+        let cut = |c: usize| match (c + 1).checked_sub(first).and_then(|k| cuts.get(k)) {
+            Some(Some(row)) => *row,
+            _ if c < first => table.cuts[c],
+            _ => table.cuts[c + span - added],
         };
         let (unit, _) = self.bottleneck(n, stage, cut);
         self.profile.batch as f64 / self.iteration_time(unit, n)

@@ -39,7 +39,7 @@ pub mod switching;
 pub mod sync;
 pub mod trace;
 
-pub use analytic::{AnalyticModel, PairEdit, StageTable};
+pub use analytic::{AnalyticModel, EditStage, EditWorkers, SpanEdit, StageTable};
 pub use ap_ir::ScheduleKind;
 pub use calibration::Calibration;
 pub use convergence::{accuracy_curve, ConvergenceModel, Paradigm};
@@ -48,7 +48,7 @@ pub use engine::{
     WorkKind,
 };
 pub use framework::Framework;
-pub use partition::{Partition, PartitionError, Stage};
+pub use partition::{Partition, PartitionError, Replicas, Stage};
 pub use switching::{
     abort_recovery_cost, abort_rollback_cost, fine_grained_cost, stop_restart_cost, MigrationStep,
     SwitchPlan,

@@ -99,6 +99,58 @@ impl Stage {
     }
 }
 
+/// A replica list read as two slices in order: a stage's workers with
+/// one removed, or two stages' workers joined, priced without building
+/// the list.
+#[derive(Debug, Clone, Copy)]
+pub struct Replicas<'w> {
+    head: &'w [GpuId],
+    tail: &'w [GpuId],
+}
+
+impl<'w> Replicas<'w> {
+    /// The list `workers` itself.
+    pub fn of(workers: &'w [GpuId]) -> Self {
+        Replicas {
+            head: workers,
+            tail: &[],
+        }
+    }
+
+    /// `head` followed by `tail`.
+    pub fn joined(head: &'w [GpuId], tail: &'w [GpuId]) -> Self {
+        Replicas { head, tail }
+    }
+
+    /// Number of replicas.
+    pub fn len(&self) -> usize {
+        self.head.len() + self.tail.len()
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Replica `i` in list order.
+    pub fn get(&self, i: usize) -> GpuId {
+        match self.head.get(i) {
+            Some(&w) => w,
+            None => self.tail[i - self.head.len()],
+        }
+    }
+
+    /// The replicas in list order.
+    pub fn iter(&self) -> impl Iterator<Item = GpuId> + 'w {
+        self.head.iter().chain(self.tail).copied()
+    }
+
+    /// The list, built.
+    pub fn to_vec(&self) -> Vec<GpuId> {
+        self.iter().collect()
+    }
+}
+
 /// A complete work partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {

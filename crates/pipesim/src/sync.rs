@@ -10,6 +10,8 @@
 
 use ap_cluster::{ClusterState, GpuId, LinkId};
 
+use crate::partition::Replicas;
+
 /// How a replicated stage synchronizes gradients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncScheme {
@@ -32,7 +34,7 @@ impl SyncScheme {
     /// Wall-clock seconds to synchronize `bytes` of gradients across
     /// `workers` in `state`. Zero for a single replica.
     pub fn sync_time(self, bytes: f64, workers: &[GpuId], state: &ClusterState) -> f64 {
-        self.links(workers, state).sync_time(bytes)
+        self.links(Replicas::of(workers), state).sync_time(bytes)
     }
 
     /// Wall-clock seconds for **one replica's update** to synchronize when
@@ -40,22 +42,24 @@ impl SyncScheme {
     /// asynchronous round-robin: every mini-batch triggers its own sync,
     /// so `m` syncs share the links at steady state).
     pub fn async_update_time(self, bytes: f64, workers: &[GpuId], state: &ClusterState) -> f64 {
-        self.links(workers, state).async_update_time(bytes)
+        self.links(Replicas::of(workers), state)
+            .async_update_time(bytes)
     }
 
     /// The links `workers`' gradient sync is bound by in `state`: what
     /// [`SyncLinks::sync_time`] prices any byte count against without
     /// walking the workers again.
-    pub(crate) fn links(self, workers: &[GpuId], state: &ClusterState) -> SyncLinks {
+    pub(crate) fn links(self, workers: Replicas<'_>, state: &ClusterState) -> SyncLinks {
         let m = workers.len();
         let (hop, path) = match self {
             _ if m <= 1 => (f64::INFINITY, f64::INFINITY),
             SyncScheme::RingAllReduce => (slowest_pairwise_bw(workers, state), f64::INFINITY),
             SyncScheme::ParameterServer => {
-                let server = workers[0];
-                let path = workers[1..]
+                let server = workers.get(0);
+                let path = workers
                     .iter()
-                    .map(|&w| pair_bw(server, w, state))
+                    .skip(1)
+                    .map(|w| pair_bw(server, w, state))
                     .fold(f64::INFINITY, f64::min);
                 (worker_bandwidth(server, state), path)
             }
@@ -149,10 +153,10 @@ pub fn pair_bw(a: GpuId, b: GpuId, state: &ClusterState) -> f64 {
 }
 
 /// The slowest pairwise hop around a ring of workers.
-fn slowest_pairwise_bw(workers: &[GpuId], state: &ClusterState) -> f64 {
+fn slowest_pairwise_bw(workers: Replicas<'_>, state: &ClusterState) -> f64 {
     let m = workers.len();
     (0..m)
-        .map(|i| pair_bw(workers[i], workers[(i + 1) % m], state))
+        .map(|i| pair_bw(workers.get(i), workers.get((i + 1) % m), state))
         .fold(f64::INFINITY, f64::min)
 }
 

@@ -13,8 +13,12 @@
 //!   adjacent stage (affects the moved worker and, through the changed
 //!   sync group, its old stage).
 
+use std::ops::Range;
+
 use ap_cluster::ClusterState;
-use ap_pipesim::{AnalyticModel, PairEdit, Partition, StageTable};
+use ap_pipesim::{
+    AnalyticModel, EditStage, EditWorkers, Partition, Replicas, SpanEdit, StageTable,
+};
 
 /// One incremental move from a base partition: a descriptor that says
 /// everything needed to build the candidate ([`MoveKind::apply`]) or to
@@ -68,54 +72,104 @@ pub enum MoveKind {
 }
 
 impl MoveKind {
-    /// The candidate partition this move makes from `base`. Every move
-    /// but a boundary shift resets the depth to the candidate's
+    /// This move as an edit of `base`'s stages: which consecutive stages
+    /// it replaces, by which one or two new ones, at which depth. Every
+    /// move but a boundary shift resets the depth to the candidate's
     /// [`Partition::default_in_flight`].
-    pub fn apply(&self, base: &Partition) -> Partition {
-        let mut p = base.clone();
-        match *self {
+    pub fn edit<'w>(&self, base: &'w Partition) -> SpanEdit<'w> {
+        let stages = &base.stages;
+        let new = |layers: Range<usize>, workers| EditStage { layers, workers };
+        let (first, last, edited) = match *self {
             MoveKind::BoundaryShift { stage, delta } => {
-                let end = (base.stages[stage].layers.end as i64 + delta) as usize;
-                p.stages[stage].layers.end = end;
-                p.stages[stage + 1].layers.start = end;
-                return p;
+                let boundary = (stages[stage].layers.end as i64 + delta) as usize;
+                let (a, b) = (&stages[stage], &stages[stage + 1]);
+                (
+                    stage,
+                    stage + 1,
+                    (
+                        new(a.layers.start..boundary, EditWorkers::Base(stage)),
+                        Some(new(boundary..b.layers.end, EditWorkers::Base(stage + 1))),
+                    ),
+                )
             }
             MoveKind::ReplicaMigration { from, to } => {
-                let w = p.stages[from].workers.pop().expect("donor keeps a worker");
-                p.stages[to].workers.push(w);
+                let donor = &stages[from].workers;
+                let (moved, kept) = donor.split_last().expect("donor keeps a worker");
+                let kept = Replicas::of(kept);
+                let grown = Replicas::joined(&stages[to].workers, std::slice::from_ref(moved));
+                let (left, (wa, wb)) = if from < to {
+                    (from, (kept, grown))
+                } else {
+                    (to, (grown, kept))
+                };
+                let (a, b) = (&stages[left], &stages[left + 1]);
+                (
+                    left,
+                    left + 1,
+                    (
+                        new(a.layers.clone(), EditWorkers::New(wa)),
+                        Some(new(b.layers.clone(), EditWorkers::New(wb))),
+                    ),
+                )
             }
             MoveKind::MergeStages { left } => {
-                let right = p.stages.remove(left + 1);
-                p.stages[left].layers.end = right.layers.end;
-                p.stages[left].workers.extend(right.workers);
+                let (a, b) = (&stages[left], &stages[left + 1]);
+                let workers = Replicas::joined(&a.workers, &b.workers);
+                (
+                    left,
+                    left + 1,
+                    (
+                        new(a.layers.start..b.layers.end, EditWorkers::New(workers)),
+                        None,
+                    ),
+                )
             }
             MoveKind::SplitStage {
                 stage,
                 cut,
                 left_replicas,
             } => {
-                let st = &base.stages[stage];
-                p.stages[stage] =
-                    crate::Stage::new(st.layers.start..cut, st.workers[..left_replicas].to_vec());
-                p.stages.insert(
-                    stage + 1,
-                    crate::Stage::new(cut..st.layers.end, st.workers[left_replicas..].to_vec()),
-                );
+                let st = &stages[stage];
+                let (wa, wb) = st.workers.split_at(left_replicas);
+                (
+                    stage,
+                    stage,
+                    (
+                        new(st.layers.start..cut, EditWorkers::New(Replicas::of(wa))),
+                        Some(new(cut..st.layers.end, EditWorkers::New(Replicas::of(wb)))),
+                    ),
+                )
             }
             MoveKind::DropWorker { stage, index } => {
-                p.stages[stage].workers.remove(index);
+                let st = &stages[stage];
+                let workers = Replicas::joined(&st.workers[..index], &st.workers[index + 1..]);
+                (
+                    stage,
+                    stage,
+                    (new(st.layers.clone(), EditWorkers::New(workers)), None),
+                )
             }
+        };
+        let mut edit = SpanEdit {
+            first,
+            last,
+            stages: edited,
+            in_flight: base.in_flight,
+        };
+        if !matches!(self, MoveKind::BoundaryShift { .. }) {
+            edit.in_flight = edit.default_depth(base);
         }
-        p.in_flight = p.default_in_flight();
-        p
+        edit
     }
 
-    /// Analytic throughput of [`MoveKind::apply`]`(base)`, bit for bit.
-    /// `table` must be `model`'s table of `base` in `state`. Boundary
-    /// shifts and replica migrations touch two adjacent stages and are
-    /// priced from the table without building the candidate; merges,
-    /// splits and drops change the stage count or a depth-setting replica
-    /// set and are priced whole.
+    /// The candidate partition this move makes from `base`.
+    pub fn apply(&self, base: &Partition) -> Partition {
+        self.edit(base).apply(base)
+    }
+
+    /// Analytic throughput of [`MoveKind::apply`]`(base)`, bit for bit,
+    /// priced from `table` without building the candidate. `table` must
+    /// be `model`'s table of `base` in `state`.
     pub fn throughput(
         &self,
         model: &AnalyticModel<'_>,
@@ -123,42 +177,7 @@ impl MoveKind {
         base: &Partition,
         state: &ClusterState,
     ) -> f64 {
-        match *self {
-            MoveKind::BoundaryShift { stage, delta } => {
-                let boundary = (base.stages[stage].layers.end as i64 + delta) as usize;
-                let edit = PairEdit {
-                    left: stage,
-                    boundary,
-                    workers: None,
-                    in_flight: base.in_flight,
-                };
-                model.edited_throughput(table, base, &edit, state)
-            }
-            MoveKind::ReplicaMigration { from, to } => {
-                let donor = &base.stages[from].workers;
-                let (&moved, kept) = donor.split_last().expect("donor keeps a worker");
-                let mut grown = base.stages[to].workers.clone();
-                grown.push(moved);
-                let first = match (from, to) {
-                    (0, _) => kept.len(),
-                    (_, 0) => grown.len(),
-                    _ => base.stages[0].workers.len(),
-                };
-                let (left, workers) = if from < to {
-                    (from, (kept, &grown[..]))
-                } else {
-                    (to, (&grown[..], kept))
-                };
-                let edit = PairEdit {
-                    left,
-                    boundary: base.stages[left + 1].layers.start,
-                    workers: Some(workers),
-                    in_flight: Partition::default_depth(base.n_workers(), base.n_stages(), first),
-                };
-                model.edited_throughput(table, base, &edit, state)
-            }
-            _ => model.throughput(&self.apply(base), state),
-        }
+        model.edited_throughput(table, base, &self.edit(base), state)
     }
 }
 

@@ -69,10 +69,29 @@ pub fn dp_objective(profile: &ModelProfile, plan: &Partition, view: PipeDreamVie
     worst
 }
 
+/// Margin on the left-part work bound: rounding in the prefix sums and
+/// divisions can lift the bound a few ulps above the true bottleneck, so
+/// a split is pruned only when the bound clears the best by this
+/// relative amount.
+const LEFT_BOUND_MARGIN: f64 = 1e-9;
+
 /// Run PipeDream's DP over `available` workers and return the plan.
 ///
-/// `A[j][m]` = best achievable bottleneck for layers `0..j` on `m`
-/// machines; either one replicated stage or a split at `(i, m')`.
+/// `A[j][m]` = best achievable bottleneck for layers `0..=j` on `m+1`
+/// machines: either one stage replicated on all of them, or a split
+/// after layer `i` whose last stage `i+1..=j` runs on `mp+1` machines and
+/// whose first part is `A[i][m-mp-1]`. Among equal bottlenecks the plan
+/// is the one a full scan keeps with a strict `<`: the single stage if it
+/// attains the cell, else the first split in `(i, mp)` order.
+///
+/// The full scan is O(layers² × GPUs²); two passes skip most of it
+/// without changing any value or choice:
+///
+/// 1. [`bottlenecks`] computes the values of `A` only, skipping splits
+///    that a lower bound shows cannot beat the cell's best so far.
+/// 2. [`split_of`] recovers the choices along the reconstruction path
+///    alone: the first split in scan order whose candidate equals the
+///    cell's value.
 pub fn pipedream_plan(
     profile: &ModelProfile,
     available: &[GpuId],
@@ -81,50 +100,8 @@ pub fn pipedream_plan(
     let l = profile.n_layers();
     let n = available.len();
     assert!(l > 0 && n > 0, "empty problem");
-    // Row-major tables with one row per j and one column per m.
-    // a[j * n + m]: bottleneck for layers 0..=j (inclusive) with m+1
-    // machines.
-    let mut a = vec![f64::INFINITY; l * n];
-    // choice[j * n + m] = None -> single stage; Some((i, mp)) -> last
-    // stage is layers i+1..=j on mp+1 machines.
-    let mut choice: Vec<Option<(usize, usize)>> = vec![None; l * n];
     let cut: Vec<f64> = (0..l).map(|i| cut_time(profile, i, view)).collect();
-
-    for j in 0..l {
-        let (solved, row) = a.split_at_mut(j * n);
-        let best = &mut row[..n];
-        let chosen = &mut choice[j * n..(j + 1) * n];
-        // Option 1: a single stage 0..=j replicated on m+1 machines.
-        for (m, b) in best.iter_mut().enumerate() {
-            *b = stage_time(profile, 0, j + 1, m + 1, view);
-        }
-        // Option 2: split after layer i, giving mp+1 machines to the last
-        // stage. The machine count m is the innermost loop, so the last
-        // stage's time is computed at most once per (i, mp). For each m
-        // the splits are still tried in (i, mp) order, and only a strictly
-        // better one replaces the best, so ties keep the first split.
-        for i in 0..j {
-            let left_row = &solved[i * n..(i + 1) * n];
-            for mp in 0..n - 1 {
-                let mut right = None;
-                for m in mp + 1..n {
-                    let left = left_row[m - mp - 1];
-                    // The candidate is at least `left` and at least the
-                    // cut, so either one at `best` already loses.
-                    if left >= best[m] || cut[i] >= best[m] {
-                        continue;
-                    }
-                    let right = *right
-                        .get_or_insert_with(|| stage_time(profile, i + 1, j + 1, mp + 1, view));
-                    let cand = left.max(cut[i]).max(right);
-                    if cand < best[m] {
-                        best[m] = cand;
-                        chosen[m] = Some((i, mp));
-                    }
-                }
-            }
-        }
-    }
+    let a = bottlenecks(profile, n, &cut, view);
 
     // Pick the machine count with the best bottleneck (using every machine
     // is not always optimal under the DP model; PipeDream keeps spares in
@@ -142,7 +119,7 @@ pub fn pipedream_plan(
     let mut counts = Vec::new();
     let (mut j, mut m) = (l - 1, best_m);
     loop {
-        match choice[j * n + m] {
+        match split_of(profile, &a, &cut, n, (j, m), view) {
             Some((i, mp)) => {
                 bounds.push((i + 1)..(j + 1));
                 counts.push(mp + 1);
@@ -159,6 +136,174 @@ pub fn pipedream_plan(
     bounds.reverse();
     counts.reverse();
     assign_workers(&bounds, &counts, available)
+}
+
+/// Pass 1: the table `A`, row-major with one row per last layer `j` and
+/// one column per machine count `m + 1`. Each cell is the minimum over
+/// the single stage and every split, and a split is skipped only when it
+/// provably cannot go below the cell's best so far, so every value is
+/// the full scan's to the bit. For each `(j, m, mp)`:
+///
+/// * **Right bound.** Work and parameters are prefix sums of
+///   non-negative terms, so the last stage's time `stage_time(i+1..=j)`
+///   can only grow as `i` falls, in floating point too (rounding is
+///   monotone). `i` is tried in descending order and the scan stops once
+///   the last stage alone reaches the best; a one-layer last stage that
+///   already loses skips the `(j, m, mp)` entirely.
+/// * **Left bound.** Bottleneck × machines ≥ total work, so
+///   `A[i][k] ≥ W(0..=i) / (F·(k+1))`. The work prefix grows with `i`,
+///   so only `i` below the first one with
+///   `W(0..=i) ≥ best·F·(k+1)·(1 + LEFT_BOUND_MARGIN)` is tried. That
+///   point moves little from row to row, so it is searched for by
+///   galloping out from where it was in the row above.
+/// * **Warm start.** Each cell first tries the split that won the cell
+///   above it, so the bounds bite from the first `i`.
+fn bottlenecks(profile: &ModelProfile, n: usize, cut: &[f64], view: PipeDreamView) -> Vec<f64> {
+    let l = cut.len();
+    let mut a = vec![f64::INFINITY; l * n];
+    // The split attaining each cell of the previous row, if one does.
+    let mut won: Vec<Option<(usize, usize)>> = vec![None; n];
+    // The time of a one-layer last stage `j..=j` on `mp + 1` machines.
+    let mut one = vec![0.0; n];
+    // Where the left bound cut off each `(m, mp)` in the previous row:
+    // it moves little from row to row, so the next search starts there.
+    let mut ends = vec![0usize; n * n];
+    for j in 0..l {
+        let (solved, row) = a.split_at_mut(j * n);
+        for (mp, t) in one.iter_mut().enumerate() {
+            *t = stage_time(profile, j, j + 1, mp + 1, view);
+        }
+        for (m, (best, won)) in row[..n].iter_mut().zip(&mut won).enumerate() {
+            *best = stage_time(profile, 0, j + 1, m + 1, view);
+            let try_split = |i: usize, mp: usize, right: f64, best: &mut f64| {
+                let left = solved[i * n + m - mp - 1];
+                if left >= *best || cut[i] >= *best {
+                    return false;
+                }
+                let cand = left.max(cut[i]).max(right);
+                let better = cand < *best;
+                if better {
+                    *best = cand;
+                }
+                better
+            };
+            if let Some((i, mp)) = won.take() {
+                let right = stage_time(profile, i + 1, j + 1, mp + 1, view);
+                if try_split(i, mp, right, best) {
+                    *won = Some((i, mp));
+                }
+            }
+            for (mp, &one) in one[..m].iter().enumerate() {
+                if one >= *best {
+                    continue;
+                }
+                // From the first `i` whose work alone puts `A[i][m-mp-1]`
+                // at or above the best, no split can win.
+                let limit = *best * (view.gpu_flops * (m - mp) as f64) * (1.0 + LEFT_BOUND_MARGIN);
+                let end = &mut ends[m * n + mp];
+                *end = first_true_near(j, *end, |i| profile.range_work(0, i + 1) >= limit);
+                let end = *end;
+                for i in (0..end).rev() {
+                    let right = stage_time(profile, i + 1, j + 1, mp + 1, view);
+                    if right >= *best {
+                        break;
+                    }
+                    if try_split(i, mp, right, best) {
+                        *won = Some((i, mp));
+                    }
+                }
+            }
+        }
+    }
+    a
+}
+
+/// Pass 2: the choice at cell `(j, m)` of `a`. `None` when the single
+/// stage attains the cell; otherwise the first `(i, mp)`, `i` ascending
+/// then `mp` ascending, whose candidate equals the cell. That is exactly
+/// the split a full scan keeps when it replaces its best only on a
+/// strictly smaller candidate: the first to reach the minimum.
+fn split_of(
+    profile: &ModelProfile,
+    a: &[f64],
+    cut: &[f64],
+    n: usize,
+    (j, m): (usize, usize),
+    view: PipeDreamView,
+) -> Option<(usize, usize)> {
+    let target = a[j * n + m];
+    if stage_time(profile, 0, j + 1, m + 1, view) == target {
+        return None;
+    }
+    // The first split in `(i, mp)` order: for each `mp`, the first `i`
+    // below the best found so far. Below `from` the last stage alone
+    // exceeds the target.
+    let mut found: Option<(usize, usize)> = None;
+    for mp in 0..m {
+        let end = found.map_or(j, |(i, _)| i);
+        let right = |i: usize| stage_time(profile, i + 1, j + 1, mp + 1, view);
+        let from = first_true(end, |i| right(i) <= target);
+        for i in from..end {
+            let left = a[i * n + m - mp - 1];
+            if left <= target && cut[i] <= target && left.max(cut[i]).max(right(i)) == target {
+                found = Some((i, mp));
+                break;
+            }
+        }
+    }
+    assert!(found.is_some(), "a split attains A[{j}][{m}]");
+    found
+}
+
+/// [`first_true`], galloping out from `guess`: O(log |answer − guess|)
+/// probes instead of O(log end).
+fn first_true_near(end: usize, guess: usize, pred: impl Fn(usize) -> bool) -> usize {
+    // The first true index in `lo..hi`, or `hi`.
+    let search = |lo: usize, hi: usize| lo + first_true(hi - lo, |k| pred(lo + k));
+    let mut step = 1;
+    if guess < end && !pred(guess) {
+        // The answer is above `guess`.
+        let mut lo = guess;
+        loop {
+            let probe = lo + step;
+            if probe >= end {
+                return search(lo + 1, end);
+            }
+            if pred(probe) {
+                return search(lo + 1, probe);
+            }
+            lo = probe;
+            step *= 2;
+        }
+    }
+    // The answer is at or below `hi`.
+    let mut hi = guess.min(end);
+    loop {
+        if hi == 0 {
+            return 0;
+        }
+        let probe = hi.saturating_sub(step);
+        if !pred(probe) {
+            return search(probe + 1, hi);
+        }
+        hi = probe;
+        step *= 2;
+    }
+}
+
+/// The first `i` in `0..end` where the monotone predicate `pred` holds,
+/// or `end` if it holds nowhere.
+fn first_true(end: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]

@@ -754,7 +754,7 @@ fn analytic_throughput(
         schedule: env.schedule,
         calibration: None,
     };
-    model.evaluate(p, st).throughput
+    model.throughput(p, st)
 }
 
 /// Price a re-plan of `job` against `view`, the live state with the job

@@ -25,11 +25,15 @@ cargo test -q --offline --workspace
 echo "== planner release equivalence =="
 # The daemon serves answers from release code, where floating-point
 # codegen may differ from the debug test build. PipeDream's pruned DP
-# must still match its golden answers and its full-scan oracle, and
-# every move priced from a stage table must still equal the built
-# candidate's price, bit for bit, in release.
+# must still match its golden answers and its full-scan oracle, every
+# move priced from a stage table must still equal the built candidate's
+# price, the slotted max-min solver must still match its progressive
+# fill oracle, and verify_plan must still measure its golden engine
+# throughputs, bit for bit, in release.
 cargo test -q --release --offline -p ap-planner --test pipedream_golden --test pipedream_oracle
 cargo test -q --release --offline -p autopipe --test delta_pricing
+cargo test -q --release --offline -p ap-cluster --test fair_share_oracle
+cargo test -q --release --offline -p ap-serve --test verify_golden
 
 echo "== matmul release equivalence =="
 # The equivalence suite runs in debug, where vectorized codegen differs

@@ -127,8 +127,9 @@ impl ResourceTimeline {
 pub struct ClusterState {
     /// Topology with per-GPU `colocated_jobs` reflecting current sharing.
     pub topology: ClusterTopology,
-    /// Background traffic (bytes/s) currently consuming each link.
-    pub background: HashMap<LinkId, f64>,
+    /// Background traffic (bytes/s) currently consuming each link,
+    /// indexed by [`LinkId::slot`]; a link past the end carries none.
+    background: Vec<f64>,
     /// Live background jobs (for departures).
     jobs: HashMap<BgJobId, (Vec<GpuId>, f64)>,
     /// Workers currently failed (fail-stop). Ordered so iteration — and
@@ -143,8 +144,8 @@ impl ClusterState {
     /// Fresh state from a base topology.
     pub fn new(topology: ClusterTopology) -> Self {
         ClusterState {
+            background: vec![0.0; topology.n_links()],
             topology,
-            background: HashMap::new(),
             jobs: HashMap::new(),
             failed: BTreeSet::new(),
             flap_saved: HashMap::new(),
@@ -179,10 +180,25 @@ impl ClusterState {
             .collect()
     }
 
+    /// Background traffic (bytes/s) currently consuming `link`.
+    pub fn background(&self, link: LinkId) -> f64 {
+        self.background.get(link.slot()).copied().unwrap_or(0.0)
+    }
+
+    /// The background traffic entry of `link`; the table grows when an
+    /// event names a server past the topology's last one.
+    fn background_mut(&mut self, link: LinkId) -> &mut f64 {
+        let slot = link.slot();
+        if slot >= self.background.len() {
+            self.background.resize(slot + 1, 0.0);
+        }
+        &mut self.background[slot]
+    }
+
     /// Capacity of `link` left for the observed job, bytes/s.
     pub fn available_capacity(&self, link: LinkId) -> f64 {
         let cap = self.topology.link_capacity(link);
-        let bg = self.background.get(&link).copied().unwrap_or(0.0);
+        let bg = self.background(link);
         (cap - bg).max(cap * 0.01) // a fair-share floor: never fully starved
     }
 
@@ -219,8 +235,8 @@ impl ClusterState {
                 }
             }
             EventKind::SetBackgroundTraffic(s, b) => {
-                self.background.insert(LinkId::Up(*s), *b);
-                self.background.insert(LinkId::Down(*s), *b);
+                *self.background_mut(LinkId::Up(*s)) = *b;
+                *self.background_mut(LinkId::Down(*s)) = *b;
             }
             EventKind::JobArrive {
                 id,
@@ -231,7 +247,7 @@ impl ClusterState {
                     self.topology.gpu_mut(g).colocated_jobs += 1;
                 }
                 for l in self.touched_links(gpus, *net_bytes_per_sec) {
-                    *self.background.entry(l).or_insert(0.0) += net_bytes_per_sec;
+                    *self.background_mut(l) += net_bytes_per_sec;
                 }
                 self.jobs.insert(*id, (gpus.clone(), *net_bytes_per_sec));
             }
@@ -272,9 +288,8 @@ impl ClusterState {
             dev.colocated_jobs = dev.colocated_jobs.saturating_sub(1).max(1);
         }
         for l in self.touched_links(gpus, net) {
-            if let Some(b) = self.background.get_mut(&l) {
-                *b = (*b - net).max(0.0);
-            }
+            let b = self.background_mut(l);
+            *b = (*b - net).max(0.0);
         }
     }
 
@@ -326,7 +341,7 @@ impl ClusterState {
         let background = self
             .touched_links(&gpus, net)
             .into_iter()
-            .filter_map(|l| self.background.get(&l).map(|&b| (l, b)))
+            .map(|l| (l, self.background(l)))
             .collect();
         self.release(&gpus, net);
         Detached {
@@ -350,7 +365,7 @@ impl ClusterState {
             self.topology.gpu_mut(g).colocated_jobs = c;
         }
         for (l, b) in background {
-            self.background.insert(l, b);
+            *self.background_mut(l) = b;
         }
         self.jobs.insert(id, (gpus, net));
     }
@@ -377,7 +392,7 @@ struct Detached {
     /// `colocated_jobs` of the job's GPUs before the release, in its GPU
     /// order.
     colocated: Vec<u32>,
-    /// Background value of each touched link that had one.
+    /// Background value of each touched link.
     background: Vec<(LinkId, f64)>,
 }
 
@@ -566,12 +581,11 @@ mod tests {
     /// Every field of a state as exact bits, in a canonical order (the
     /// hash maps sorted by key).
     fn fingerprint(st: &ClusterState) -> String {
-        let mut bg: Vec<String> = st
+        let bg: Vec<String> = st
             .background
             .iter()
-            .map(|(l, b)| format!("{l:?}={:016x}", b.to_bits()))
+            .map(|b| format!("{:016x}", b.to_bits()))
             .collect();
-        bg.sort();
         let mut jobs: Vec<String> = st
             .jobs
             .iter()

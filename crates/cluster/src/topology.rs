@@ -24,6 +24,18 @@ pub enum LinkId {
     Down(ServerId),
 }
 
+impl LinkId {
+    /// Index of this link in a dense per-link table: `2·server` for the
+    /// uplink, `2·server + 1` for the downlink. A topology of `n` servers
+    /// fills slots `0..2n` ([`ClusterTopology::n_links`]).
+    pub fn slot(self) -> usize {
+        match self {
+            LinkId::Up(s) => 2 * s.0,
+            LinkId::Down(s) => 2 * s.0 + 1,
+        }
+    }
+}
+
 /// One physical server.
 #[derive(Debug, Clone)]
 pub struct Server {
@@ -90,6 +102,12 @@ impl ClusterTopology {
     /// Total number of GPUs.
     pub fn n_gpus(&self) -> usize {
         self.gpus.len()
+    }
+
+    /// Number of directed links, the length of a table indexed by
+    /// [`LinkId::slot`].
+    pub fn n_links(&self) -> usize {
+        2 * self.servers.len()
     }
 
     /// Which server hosts a GPU.

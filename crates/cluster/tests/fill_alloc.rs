@@ -36,30 +36,35 @@ static GLOBAL: Counting = Counting;
 
 #[test]
 fn warm_solve_allocates_nothing() {
-    let up = |s| LinkId::Up(ServerId(s));
-    let down = |s| LinkId::Down(ServerId(s));
+    let up = |s| LinkId::Up(ServerId(s)).slot();
+    let down = |s| LinkId::Down(ServerId(s)).slot();
     let flows = vec![
         Flow::elastic(vec![up(0), down(1)]),
         Flow::elastic(vec![up(0), down(2)]),
         Flow::elastic(vec![]),
         Flow {
-            links: vec![up(1), down(2)],
+            path: vec![up(1), down(2)],
             demand: gbps(2.0),
         },
         // A ring pass over three servers.
         Flow::elastic(vec![up(0), down(1), up(1), down(2), up(2), down(0)]),
     ];
-    let capacity = |l: LinkId| match l {
-        LinkId::Up(s) => gbps(10.0 + s.0 as f64),
-        LinkId::Down(_) => gbps(25.0),
-    };
+    let capacity: Vec<f64> = (0..6)
+        .map(|slot| {
+            if slot % 2 == 0 {
+                gbps(10.0 + (slot / 2) as f64)
+            } else {
+                gbps(25.0)
+            }
+        })
+        .collect();
     let mut fs = FairShare::default();
-    max_min_fair_rates(&flows, capacity, gbps(96.0), &mut fs);
+    max_min_fair_rates(&flows, &capacity, gbps(96.0), &mut fs);
     let before = ALLOCS.with(Cell::get);
     for round in 0..100 {
         // Smaller flow sets reuse the buffers the full set grew.
         let n = 1 + round % flows.len();
-        let rates = max_min_fair_rates(&flows[..n], capacity, gbps(96.0), &mut fs);
+        let rates = max_min_fair_rates(&flows[..n], &capacity, gbps(96.0), &mut fs);
         assert_eq!(rates.len(), n);
     }
     assert_eq!(ALLOCS.with(Cell::get) - before, 0, "warm solves allocated");

@@ -1,7 +1,9 @@
 //! Randomized-but-deterministic tests for the cluster substrate:
-//! fair-share feasibility and timeline replay invariants, driven by the
-//! in-tree seeded PRNG so every run checks the same cases.
+//! fair-share feasibility, timeline replay invariants and the dense
+//! background table, driven by the in-tree seeded PRNG so every run
+//! checks the same cases.
 
+use ap_cluster::dynamics::BgJobId;
 use ap_cluster::gpu::GpuKind;
 use std::collections::HashMap;
 
@@ -15,17 +17,20 @@ use ap_rng::Rng;
 fn random_flow(rng: &mut Rng, n_servers: usize) -> Flow {
     let s = rng.gen_range(0..n_servers);
     let d = rng.gen_range(0..n_servers);
-    let links = if s == d {
+    let path = if s == d {
         vec![]
     } else {
-        vec![LinkId::Up(ServerId(s)), LinkId::Down(ServerId(d))]
+        vec![
+            LinkId::Up(ServerId(s)).slot(),
+            LinkId::Down(ServerId(d)).slot(),
+        ]
     };
     let demand = if rng.gen::<bool>() {
         gbps(rng.gen_range(1.0..50.0))
     } else {
         f64::INFINITY
     };
-    Flow { links, demand }
+    Flow { path, demand }
 }
 
 /// No link is ever oversubscribed and no flow exceeds its demand.
@@ -37,7 +42,8 @@ fn fair_share_is_feasible() {
         let n_flows = rng.gen_range(1..12usize);
         let flows: Vec<Flow> = (0..n_flows).map(|_| random_flow(&mut rng, 4)).collect();
         let cap_gbps = rng.gen_range(1.0..100.0);
-        let rates = max_min_fair_rates(&flows, |_| gbps(cap_gbps), gbps(96.0), &mut fs);
+        let caps = vec![gbps(cap_gbps); 8];
+        let rates = max_min_fair_rates(&flows, &caps, gbps(96.0), &mut fs);
         assert_eq!(rates.len(), flows.len());
         // Per-flow demand respected.
         for (f, &r) in flows.iter().zip(rates) {
@@ -50,7 +56,7 @@ fn fair_share_is_feasible() {
                 let used: f64 = flows
                     .iter()
                     .zip(rates)
-                    .filter(|(f, _)| f.links.contains(&l))
+                    .filter(|(f, _)| f.path.contains(&l.slot()))
                     .map(|(_, &r)| r)
                     .sum();
                 assert!(
@@ -75,12 +81,13 @@ fn fair_share_never_starves() {
         let flows: Vec<Flow> = (0..n)
             .map(|i| {
                 Flow::elastic(vec![
-                    LinkId::Up(ServerId(0)),
-                    LinkId::Down(ServerId(1 + i % 3)),
+                    LinkId::Up(ServerId(0)).slot(),
+                    LinkId::Down(ServerId(1 + i % 3)).slot(),
                 ])
             })
             .collect();
-        let rates = max_min_fair_rates(&flows, |_| gbps(cap_gbps), gbps(96.0), &mut fs);
+        let caps = vec![gbps(cap_gbps); 8];
+        let rates = max_min_fair_rates(&flows, &caps, gbps(96.0), &mut fs);
         for &r in rates {
             assert!(r > 0.0, "case {case}: starved flow");
         }
@@ -92,7 +99,7 @@ fn fair_share_never_starves() {
 /// allocation-free [`max_min_fair_rates`] must match bit for bit.
 fn reference_fill<F>(flows: &[Flow], capacity: F, local_rate: f64) -> Vec<f64>
 where
-    F: Fn(LinkId) -> f64,
+    F: Fn(usize) -> f64,
 {
     let n = flows.len();
     let mut rates = vec![0.0_f64; n];
@@ -100,16 +107,16 @@ where
         return rates;
     }
 
-    let mut residual: HashMap<LinkId, f64> = HashMap::new();
+    let mut residual: HashMap<usize, f64> = HashMap::new();
     for f in flows {
-        for &l in &f.links {
+        for &l in &f.path {
             residual.entry(l).or_insert_with(|| capacity(l));
         }
     }
 
     let mut frozen = vec![false; n];
     for (i, f) in flows.iter().enumerate() {
-        if f.links.is_empty() {
+        if f.path.is_empty() {
             rates[i] = f.demand.min(local_rate);
             frozen[i] = true;
         }
@@ -125,7 +132,7 @@ where
         for (&l, &cap) in &residual {
             let crossers = active
                 .iter()
-                .filter(|&&i| flows[i].links.contains(&l))
+                .filter(|&&i| flows[i].path.contains(&l))
                 .count();
             if crossers > 0 && cap.is_finite() {
                 min_incr = min_incr.min(cap / crossers as f64);
@@ -145,7 +152,7 @@ where
 
         for &i in &active {
             rates[i] += incr;
-            for &l in &flows[i].links {
+            for &l in &flows[i].path {
                 if let Some(c) = residual.get_mut(&l) {
                     *c -= incr;
                 }
@@ -155,7 +162,7 @@ where
         for &i in &active {
             let at_demand = rates[i] >= flows[i].demand - 1e-9;
             let on_saturated = flows[i]
-                .links
+                .path
                 .iter()
                 .any(|l| residual.get(l).is_some_and(|&c| c <= 1e-6));
             if at_demand || on_saturated {
@@ -167,16 +174,16 @@ where
     rates
 }
 
-/// Random path over `n_servers`: empty (node-local), the usual
-/// uplink+downlink pair, or a ring-style multi-hop list that may repeat a
-/// link.
-fn random_path(rng: &mut Rng, n_servers: usize) -> Vec<LinkId> {
+/// Random path over `n_servers`, as link slots: empty (node-local), the
+/// usual uplink+downlink pair, or a ring-style multi-hop list that may
+/// repeat a link.
+fn random_path(rng: &mut Rng, n_servers: usize) -> Vec<usize> {
     let link = |rng: &mut Rng| {
         let s = ServerId(rng.gen_range(0..n_servers));
         if rng.gen::<bool>() {
-            LinkId::Up(s)
+            LinkId::Up(s).slot()
         } else {
-            LinkId::Down(s)
+            LinkId::Down(s).slot()
         }
     };
     match rng.gen_range(0..4u32) {
@@ -184,7 +191,10 @@ fn random_path(rng: &mut Rng, n_servers: usize) -> Vec<LinkId> {
         1 | 2 => {
             let s = rng.gen_range(0..n_servers);
             let d = (s + rng.gen_range(1..n_servers)) % n_servers;
-            vec![LinkId::Up(ServerId(s)), LinkId::Down(ServerId(d))]
+            vec![
+                LinkId::Up(ServerId(s)).slot(),
+                LinkId::Down(ServerId(d)).slot(),
+            ]
         }
         _ => (0..rng.gen_range(1..6usize)).map(|_| link(rng)).collect(),
     }
@@ -208,13 +218,13 @@ fn fill_matches_reference_bit_for_bit() {
         };
         let flows: Vec<Flow> = (0..n_flows)
             .map(|_| {
-                let links = random_path(&mut rng, n_servers);
+                let path = random_path(&mut rng, n_servers);
                 let demand = if rng.gen::<bool>() {
                     gbps(rng.gen_range(0.5..40.0))
                 } else {
                     f64::INFINITY
                 };
-                Flow { links, demand }
+                Flow { path, demand }
             })
             .collect();
         let caps: Vec<f64> = (0..2 * n_servers)
@@ -224,13 +234,9 @@ fn fill_matches_reference_bit_for_bit() {
                 _ => gbps(rng.gen_range(1.0..100.0)),
             })
             .collect();
-        let capacity = |l: LinkId| match l {
-            LinkId::Up(s) => caps[2 * s.0],
-            LinkId::Down(s) => caps[2 * s.0 + 1],
-        };
         let local_rate = gbps(rng.gen_range(50.0..200.0));
-        let want = reference_fill(&flows, capacity, local_rate);
-        let got = max_min_fair_rates(&flows, capacity, local_rate, &mut fs);
+        let want = reference_fill(&flows, |l| caps[l], local_rate);
+        let got = max_min_fair_rates(&flows, &caps, local_rate, &mut fs);
         let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(got), bits(&want), "case {case}: {flows:?}");
     }
@@ -252,7 +258,11 @@ fn timeline_replay_keeps_invariants() {
         for t in [0.0, 50.0, 150.0, 299.0, 1000.0] {
             let st = ClusterState::at_time(topo.clone(), &tl, t);
             assert!(st.topology.gpus.iter().all(|g| g.colocated_jobs >= 1));
-            assert!(st.background.values().all(|&b| b >= 0.0));
+            for s in 0..4 {
+                for l in [LinkId::Up(ServerId(s)), LinkId::Down(ServerId(s))] {
+                    assert!(st.background(l) >= 0.0);
+                }
+            }
             for s in 0..4 {
                 assert!(st.available_capacity(LinkId::Up(ServerId(s))) > 0.0);
             }
@@ -285,5 +295,139 @@ fn timeline_order_independent_of_insertion() {
             "case {case}: insertion order {perm:?} changed replay"
         );
         let _ = GpuId(0);
+    }
+}
+
+/// The background table as a plain `HashMap` from link to bytes/s, with
+/// the departure rule written out: the reference the dense per-slot table
+/// in [`ClusterState`] must replay bit for bit.
+#[derive(Clone, Default)]
+struct BackgroundModel {
+    traffic: HashMap<LinkId, f64>,
+    jobs: HashMap<u64, (Vec<LinkId>, f64)>,
+}
+
+impl BackgroundModel {
+    fn apply(&mut self, topo: &ClusterTopology, kind: &EventKind) {
+        match kind {
+            EventKind::SetBackgroundTraffic(s, b) => {
+                self.traffic.insert(LinkId::Up(*s), *b);
+                self.traffic.insert(LinkId::Down(*s), *b);
+            }
+            EventKind::JobArrive {
+                id,
+                gpus,
+                net_bytes_per_sec: net,
+            } => {
+                let mut servers: Vec<ServerId> = if *net > 0.0 {
+                    gpus.iter().map(|&g| topo.server_of(g)).collect()
+                } else {
+                    Vec::new()
+                };
+                servers.sort();
+                servers.dedup();
+                let links: Vec<LinkId> = servers
+                    .into_iter()
+                    .flat_map(|s| [LinkId::Up(s), LinkId::Down(s)])
+                    .collect();
+                for &l in &links {
+                    *self.traffic.entry(l).or_insert(0.0) += net;
+                }
+                self.jobs.insert(id.0, (links, *net));
+            }
+            EventKind::JobDepart(id) => {
+                if let Some((links, net)) = self.jobs.remove(&id.0) {
+                    for l in links {
+                        if let Some(b) = self.traffic.get_mut(&l) {
+                            *b = (*b - net).max(0.0);
+                        }
+                    }
+                }
+            }
+            other => unreachable!("not a background event: {other:?}"),
+        }
+    }
+
+    fn available_capacity(&self, topo: &ClusterTopology, link: LinkId) -> f64 {
+        let cap = topo.link_capacity(link);
+        let bg = self.traffic.get(&link).copied().unwrap_or(0.0);
+        (cap - bg).max(cap * 0.01)
+    }
+}
+
+/// Every link's available capacity and background, `st` against `model`,
+/// as exact bits.
+fn assert_links_match(st: &ClusterState, model: &BackgroundModel, what: &str) {
+    let topo = &st.topology;
+    for s in 0..topo.servers.len() {
+        for l in [LinkId::Up(ServerId(s)), LinkId::Down(ServerId(s))] {
+            assert_eq!(
+                st.available_capacity(l).to_bits(),
+                model.available_capacity(topo, l).to_bits(),
+                "{what}: available capacity of {l:?}"
+            );
+            let want = model.traffic.get(&l).copied().unwrap_or(0.0);
+            assert_eq!(st.background(l).to_bits(), want.to_bits(), "{what}: {l:?}");
+        }
+    }
+}
+
+/// Random arrivals (with and without traffic, on shared servers),
+/// departures (of live, departed and unknown jobs) and background
+/// settings, with `with_detached` views in between: the dense table's
+/// capacities equal a replay on a `HashMap` model on every link, inside
+/// each view (the model with the job departed) and after it (the state
+/// put back exactly).
+#[test]
+fn dense_background_matches_a_hash_map_replay() {
+    for seed in 0..64u64 {
+        let mut rng = Rng::seed_from_u64(0xBA6D + seed);
+        let n_servers = rng.gen_range(1..=6usize);
+        let per = rng.gen_range(1..=3usize);
+        let mut topo = ClusterTopology::single_switch(n_servers, per, GpuKind::V100, 25.0);
+        for s in &mut topo.servers {
+            s.nic_bytes_per_sec = gbps(rng.gen_range(1.0..100.0));
+        }
+        let mut st = ClusterState::new(topo.clone());
+        let mut model = BackgroundModel::default();
+        let mut next_id = 0u64;
+        for step in 0..120 {
+            let kind = match rng.gen_range(0..6u32) {
+                0..=2 => {
+                    let n = rng.gen_range(1..=4usize);
+                    let gpus = (0..n)
+                        .map(|_| GpuId(rng.gen_range(0..topo.n_gpus())))
+                        .collect();
+                    let net = match rng.gen_range(0..4u32) {
+                        0 => 0.0,
+                        _ => gbps(rng.gen_range(0.1..60.0)),
+                    };
+                    next_id += 1;
+                    EventKind::JobArrive {
+                        id: BgJobId(next_id),
+                        gpus,
+                        net_bytes_per_sec: net,
+                    }
+                }
+                3 | 4 => EventKind::JobDepart(BgJobId(rng.gen_range(0..=next_id + 1))),
+                _ => EventKind::SetBackgroundTraffic(
+                    ServerId(rng.gen_range(0..n_servers)),
+                    gbps(rng.gen_range(0.0..120.0)),
+                ),
+            };
+            st.apply(&kind);
+            model.apply(&topo, &kind);
+            let what = format!("seed {seed} step {step}");
+            assert_links_match(&st, &model, &what);
+            if rng.gen::<bool>() {
+                let id = BgJobId(rng.gen_range(0..=next_id + 1));
+                let mut departed = model.clone();
+                departed.apply(&topo, &EventKind::JobDepart(id));
+                st.with_detached(id, |view| {
+                    assert_links_match(view, &departed, &format!("{what} without {id:?}"));
+                });
+                assert_links_match(&st, &model, &format!("{what} after {id:?} returned"));
+            }
+        }
     }
 }

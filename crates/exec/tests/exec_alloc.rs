@@ -3,7 +3,7 @@
 //! networks and zero their gradients in place, and their layers write
 //! into the buffers of the caches they replace, so running twice as many
 //! mini-batches only adds the small bookkeeping allocations of a longer
-//! program (its validation maps and result vectors).
+//! program (its op lists and result vectors).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,11 +37,12 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per steady mini-batch may not exceed this. It bounds
-/// bookkeeping only: this spec makes 1.7 to 1.8 per mini-batch. It made
-/// 79.7 when every tensor was allocated afresh, and 6.8 while a stash
-/// snapshot zeroed its gradients through a collected parameter list and
-/// program validation built a set per stash push.
-const PER_MB: usize = 2;
+/// bookkeeping only: this spec makes 0.28 to 0.53 per mini-batch (the
+/// spread is thread timing). It made 79.7 when every tensor was
+/// allocated afresh, 6.8 while a stash snapshot zeroed its gradients
+/// through a collected parameter list and program validation built a set
+/// per stash push, and 1.7 to 1.8 while validation kept per-unit maps.
+const PER_MB: usize = 1;
 
 fn spec(total: u64) -> ExecSpec {
     ExecSpec {

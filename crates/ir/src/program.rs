@@ -38,7 +38,6 @@
 //!   buffering: at most 2 weight versions are ever live).
 
 use crate::schedule::ScheduleKind;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 /// One forward/backward unit: a (mini-batch, micro-batch) pair.
@@ -102,6 +101,22 @@ pub enum IrOp {
 }
 
 impl IrOp {
+    /// The unit this op belongs to; `None` for an apply, which covers a
+    /// whole mini-batch.
+    pub fn unit(self) -> Option<UnitId> {
+        match self {
+            IrOp::Recv { unit, .. }
+            | IrOp::Send { unit, .. }
+            | IrOp::StashPush { unit, .. }
+            | IrOp::StashPop { unit }
+            | IrOp::Forward { unit }
+            | IrOp::FusedFwdLossBwd { unit }
+            | IrOp::Recompute { unit }
+            | IrOp::Backward { unit } => Some(unit),
+            IrOp::ApplyUpdate { .. } => None,
+        }
+    }
+
     /// The mini-batch this op belongs to.
     pub fn mb(self) -> u64 {
         match self {
@@ -546,34 +561,42 @@ impl Program {
         }
         let m = self.micro_batches as u32;
         let version_budget = self.kind.weight_versions(self.in_flight);
+        // Per-unit forward and backward counts, indexed by wire id and
+        // reused by every stage.
+        let n_units = self.n_units();
+        let mut fwd = vec![0u32; n_units];
+        let mut bwd = vec![0u32; n_units];
+        // The stashed units with their weight versions (at most the
+        // in-flight depth), and those versions deduplicated.
+        let mut live: Vec<(UnitId, u64)> = Vec::new();
+        let mut distinct: Vec<u64> = Vec::new();
         for (s, sp) in self.stages.iter().enumerate() {
             if sp.stage != s {
                 return Err(format!("stage {s}: mislabeled as {}", sp.stage));
             }
             let err = |msg: String| Err(format!("stage {s}: {msg}"));
-            let mut fwd: BTreeMap<UnitId, u32> = BTreeMap::new();
-            let mut bwd: BTreeMap<UnitId, u32> = BTreeMap::new();
-            let mut live: BTreeMap<UnitId, u64> = BTreeMap::new();
-            // The live versions, deduplicated; reused across pushes.
-            let mut distinct: Vec<u64> = Vec::new();
+            fwd.fill(0);
+            bwd.fill(0);
+            live.clear();
             let mut applied_units = 0u64;
             for op in &sp.ops {
                 if op.mb() >= self.total {
                     return err(format!("{op:?} references mini-batch >= {}", self.total));
+                }
+                if op.unit().is_some_and(|u| u.micro >= m) {
+                    return err(format!("{op:?} micro out of range"));
                 }
                 match *op {
                     IrOp::StashPush {
                         unit,
                         weight_version,
                     } => {
-                        if unit.micro >= m {
-                            return err(format!("{op:?} micro out of range"));
-                        }
-                        if live.insert(unit, weight_version).is_some() {
+                        if live.iter().any(|&(u, _)| u == unit) {
                             return err(format!("double stash push for {unit:?}"));
                         }
+                        live.push((unit, weight_version));
                         distinct.clear();
-                        distinct.extend(live.values());
+                        distinct.extend(live.iter().map(|&(_, v)| v));
                         distinct.sort_unstable();
                         distinct.dedup();
                         if distinct.len() > version_budget {
@@ -584,30 +607,29 @@ impl Program {
                             ));
                         }
                     }
-                    IrOp::StashPop { unit } => {
-                        if live.remove(&unit).is_none() {
-                            return err(format!("stash pop without push for {unit:?}"));
+                    IrOp::StashPop { unit } => match live.iter().position(|&(u, _)| u == unit) {
+                        Some(i) => {
+                            live.swap_remove(i);
                         }
-                    }
-                    IrOp::Forward { unit } => {
-                        *fwd.entry(unit).or_default() += 1;
-                    }
+                        None => return err(format!("stash pop without push for {unit:?}")),
+                    },
+                    IrOp::Forward { unit } => fwd[self.unit_index(unit)] += 1,
                     IrOp::FusedFwdLossBwd { unit } => {
                         // Fused pops any spliced-in stash implicitly.
-                        live.remove(&unit);
-                        *fwd.entry(unit).or_default() += 1;
-                        *bwd.entry(unit).or_default() += 1;
+                        live.retain(|&(u, _)| u != unit);
+                        fwd[self.unit_index(unit)] += 1;
+                        bwd[self.unit_index(unit)] += 1;
                     }
                     IrOp::Recompute { unit } => {
-                        if fwd.get(&unit).copied().unwrap_or(0) == 0 {
+                        if fwd[self.unit_index(unit)] == 0 {
                             return err(format!("recompute before forward for {unit:?}"));
                         }
                     }
                     IrOp::Backward { unit } => {
-                        if fwd.get(&unit).copied().unwrap_or(0) == 0 {
+                        if fwd[self.unit_index(unit)] == 0 {
                             return err(format!("backward before forward for {unit:?}"));
                         }
-                        *bwd.entry(unit).or_default() += 1;
+                        bwd[self.unit_index(unit)] += 1;
                     }
                     IrOp::ApplyUpdate { units, .. } => applied_units += units as u64,
                     IrOp::Recv { .. } | IrOp::Send { .. } => {}
@@ -616,25 +638,40 @@ impl Program {
             if !live.is_empty() {
                 return err(format!("{} stash entries never popped", live.len()));
             }
-            let expect = self.total * m as u64;
-            let total_fwd: u64 = fwd.values().map(|&c| c as u64).sum();
-            let total_bwd: u64 = bwd.values().map(|&c| c as u64).sum();
-            if total_fwd != expect || fwd.values().any(|&c| c != 1) {
+            let expect = n_units as u64;
+            let total_fwd: u64 = fwd.iter().map(|&c| c as u64).sum();
+            let total_bwd: u64 = bwd.iter().map(|&c| c as u64).sum();
+            if total_fwd != expect || fwd.iter().any(|&c| c != 1) {
                 return err(format!("forwards cover {total_fwd}/{expect} units"));
             }
-            if total_bwd != expect || bwd.values().any(|&c| c != 1) {
+            if total_bwd != expect || bwd.iter().any(|&c| c != 1) {
                 return err(format!("backwards cover {total_bwd}/{expect} units"));
             }
             if applied_units != expect {
                 return err(format!("applies cover {applied_units}/{expect} units"));
             }
         }
-        self.validate_links()
+        self.validate_links(fwd, bwd)
     }
 
-    fn validate_links(&self) -> Result<(), String> {
-        let collect = |s: usize, want_send: bool, payload: Payload| -> BTreeMap<UnitId, u32> {
-            let mut map: BTreeMap<UnitId, u32> = BTreeMap::new();
+    /// Units of the whole run: `total` mini-batches of `micro_batches`.
+    fn n_units(&self) -> usize {
+        (self.total * self.micro_batches as u64) as usize
+    }
+
+    /// A unit's slot in a per-unit table, its wire id. `validate` has
+    /// checked that the unit is in range.
+    fn unit_index(&self, unit: UnitId) -> usize {
+        unit.wire(self.micro_batches) as usize
+    }
+
+    /// Link matching, after [`Program::validate`] has checked every op's
+    /// unit is in range. `sent` and `recvd` are per-unit tables of
+    /// `n_units` entries, reused as frame counts.
+    fn validate_links(&self, mut sent: Vec<u32>, mut recvd: Vec<u32>) -> Result<(), String> {
+        // Frames per unit of `payload` that stage `s` sends (or receives).
+        let count = |counts: &mut Vec<u32>, s: usize, want_send: bool, payload: Payload| {
+            counts.fill(0);
             for op in &self.stages[s].ops {
                 let hit = match (op, want_send) {
                     (IrOp::Send { payload: p, unit }, true) if *p == payload => Some(*unit),
@@ -642,22 +679,21 @@ impl Program {
                     _ => None,
                 };
                 if let Some(u) = hit {
-                    *map.entry(u).or_default() += 1;
+                    counts[self.unit_index(u)] += 1;
                 }
             }
-            map
         };
         for s in 0..self.n_stages.saturating_sub(1) {
-            let sent = collect(s, true, Payload::Act);
-            let recvd = collect(s + 1, false, Payload::Act);
+            count(&mut sent, s, true, Payload::Act);
+            count(&mut recvd, s + 1, false, Payload::Act);
             if sent != recvd {
                 return Err(format!(
                     "activation sends at stage {s} do not match recvs at stage {}",
                     s + 1
                 ));
             }
-            let sent = collect(s + 1, true, Payload::Grad);
-            let recvd = collect(s, false, Payload::Grad);
+            count(&mut sent, s + 1, true, Payload::Grad);
+            count(&mut recvd, s, false, Payload::Grad);
             if sent != recvd {
                 return Err(format!(
                     "gradient sends at stage {} do not match recvs at stage {s}",
@@ -668,17 +704,19 @@ impl Program {
         // Weight-state recvs (upstream moves block explicitly) need a
         // matching send somewhere; downstream moves send without an
         // explicit recv (opportunistic delivery).
-        let count = |want_send: bool| -> usize {
-            (0..self.n_stages)
-                .map(|s| {
-                    collect(s, want_send, Payload::WeightState)
-                        .values()
-                        .map(|&c| c as usize)
-                        .sum::<usize>()
+        let frames = |want_send: bool| -> usize {
+            self.stages
+                .iter()
+                .flat_map(|sp| &sp.ops)
+                .filter(|op| match (op, want_send) {
+                    (IrOp::Send { payload, .. }, true) | (IrOp::Recv { payload, .. }, false) => {
+                        *payload == Payload::WeightState
+                    }
+                    _ => false,
                 })
-                .sum()
+                .count()
         };
-        if count(false) > count(true) {
+        if frames(false) > frames(true) {
             return Err("weight-state recv without matching send".into());
         }
         Ok(())
@@ -688,6 +726,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn shapes() -> Vec<(usize, u64, usize)> {
         vec![(1, 5, 2), (2, 8, 3), (3, 12, 3), (4, 10, 4), (3, 1, 2)]
@@ -701,6 +740,33 @@ mod tests {
                 p.validate()
                     .unwrap_or_else(|e| panic!("{} S={s} total={total}: {e}", kind.label()));
             }
+        }
+    }
+
+    #[test]
+    fn a_unit_past_the_micro_batch_count_is_rejected() {
+        // validate() indexes per-unit tables by wire id; a micro-batch
+        // index out of range must be an error, for every kind of op.
+        for (stage, op) in [
+            (
+                0,
+                IrOp::Forward {
+                    unit: UnitId::new(0, 4),
+                },
+            ),
+            (
+                1,
+                IrOp::Recv {
+                    payload: Payload::Act,
+                    unit: UnitId::new(1, 7),
+                },
+            ),
+        ] {
+            let mut p = generate(ScheduleKind::Dapple { micro_batches: 4 }, 2, 3, 2);
+            assert!(p.validate().is_ok());
+            p.stages[stage].ops.push(op);
+            let e = p.validate().unwrap_err();
+            assert!(e.contains("micro out of range"), "{e}");
         }
     }
 

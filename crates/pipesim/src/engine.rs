@@ -213,6 +213,25 @@ pub struct SimResult {
     pub mean_staleness: f64,
     /// Fault-path incidents handled during the run, in time order.
     pub faults: Vec<FaultRecord>,
+    /// The work the engine did to produce this result.
+    pub work: EngineWork,
+}
+
+/// Work counts of one engine run. They depend only on the inputs and on
+/// the engine's algorithm, never on the host, so a lost fast path shows
+/// as a changed count, not only as wall clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineWork {
+    /// Simulation steps taken.
+    pub ticks: u64,
+    /// Max-min rate solves: one per step whose transfer set or link
+    /// capacities changed.
+    pub rate_solves: u64,
+    /// Progressive-filling rounds across those solves (a solve of zero
+    /// or one transfer runs none).
+    pub fill_rounds: u64,
+    /// Workers examined by dispatch, looking for one to give a task.
+    pub dispatch_visits: u64,
 }
 
 impl SimResult {
@@ -375,14 +394,6 @@ impl ReadyQueue {
     }
 }
 
-/// Index of `link` in the engine's capacity table.
-fn link_slot(link: LinkId) -> usize {
-    match link {
-        LinkId::Up(s) => 2 * s.0,
-        LinkId::Down(s) => 2 * s.0 + 1,
-    }
-}
-
 /// One partition regime during a run. Units carry the epoch that was
 /// current when they were injected, so in-flight mini-batches drain on the
 /// old assignment while new ones use the new — AutoPipe's fine-grained
@@ -485,7 +496,10 @@ pub struct Engine<'a> {
     injected: u64,
     completed_units: u64,
     versions: Vec<u64>,
-    fwd_versions: HashMap<(u64, usize), u64>,
+    /// Per stage (as wide as `versions`), the `(unit, version)` of each
+    /// forward pass whose backward has not finished: the weight version
+    /// the forward ran on, for staleness.
+    fwd_versions: Vec<Vec<(u64, u64)>>,
     staleness_sum: f64,
     staleness_n: u64,
     busy: Vec<f64>,
@@ -517,8 +531,8 @@ pub struct Engine<'a> {
     /// Per worker, `effective_flops × compute_efficiency` at the current
     /// cluster state. Rebuilt only when a resource event applies.
     compute_rates: Vec<f64>,
-    /// Per directed link (see `link_slot`), `available_capacity ×
-    /// comm_efficiency` at the current cluster state. Rebuilt with
+    /// Per directed link (indexed by `LinkId::slot`), `available_capacity
+    /// × comm_efficiency` at the current cluster state. Rebuilt with
     /// `compute_rates`.
     link_caps: Vec<f64>,
     /// The transfer set or the link capacities changed since the last
@@ -530,9 +544,23 @@ pub struct Engine<'a> {
     /// Tables of the max-min fill, reused by every solve.
     fair_share: FairShare,
     /// Path buffers of finished transfers, reused by new ones.
-    spare_paths: Vec<Vec<LinkId>>,
+    spare_paths: Vec<Vec<usize>>,
     /// Activities that completed in the current step.
     completed: Vec<Activity>,
+    /// Workers that may have become dispatchable since the last dispatch,
+    /// each listed once (`is_woken`): a task became ready for it, its
+    /// compute finished, its gradient sync landed, or it is frozen and
+    /// must be checked again until it thaws. Dispatch visits only these:
+    /// a short list beats a scan of every worker's flag per tick.
+    woken: Vec<usize>,
+    is_woken: Vec<bool>,
+    /// The list of the dispatch in progress, kept so that both lists
+    /// reuse their buffers.
+    visiting: Vec<usize>,
+    /// A switch, failure, recovery, rollback or strand changed workers in
+    /// ways the list does not track: the next dispatch visits all.
+    wake_all: bool,
+    work: EngineWork,
 }
 
 impl<'a> Engine<'a> {
@@ -583,7 +611,7 @@ impl<'a> Engine<'a> {
             injected: 0,
             completed_units: 0,
             versions: vec![0; n_stages],
-            fwd_versions: HashMap::new(),
+            fwd_versions: vec![Vec::new(); n_stages],
             staleness_sum: 0.0,
             staleness_n: 0,
             busy: vec![0.0; n_workers],
@@ -603,6 +631,11 @@ impl<'a> Engine<'a> {
             fair_share: FairShare::default(),
             spare_paths: Vec::new(),
             completed: Vec::new(),
+            woken: Vec::new(),
+            is_woken: vec![false; n_workers],
+            visiting: Vec::new(),
+            wake_all: true,
+            work: EngineWork::default(),
         };
         engine.refresh_rates();
         Ok(engine)
@@ -619,7 +652,7 @@ impl<'a> Engine<'a> {
         self.link_caps.clear();
         for s in 0..self.state.topology.servers.len() {
             for link in [LinkId::Up(ServerId(s)), LinkId::Down(ServerId(s))] {
-                debug_assert_eq!(link_slot(link), self.link_caps.len());
+                debug_assert_eq!(link.slot(), self.link_caps.len());
                 self.link_caps
                     .push(self.state.available_capacity(link) * comm_eff);
             }
@@ -765,14 +798,15 @@ impl<'a> Engine<'a> {
         let volume = match self.cfg.scheme {
             SyncScheme::ParameterServer => {
                 // Push + pull between this replica and the PS (replica 0).
-                links.extend(topology.path(me, st.workers[0]).into_iter().flatten());
+                let path = topology.path(me, st.workers[0]);
+                links.extend(path.into_iter().flatten().map(LinkId::slot));
                 2.0 * bytes
             }
             SyncScheme::RingAllReduce => {
                 // One ring pass: every consecutive hop, deduplicated.
                 for i in 0..m {
                     let hop = topology.path(st.workers[i], st.workers[(i + 1) % m]);
-                    for l in hop.into_iter().flatten() {
+                    for l in hop.into_iter().flatten().map(LinkId::slot) {
                         if !links.contains(&l) {
                             links.push(l);
                         }
@@ -804,6 +838,15 @@ impl<'a> Engine<'a> {
             1
         };
         self.ready[w].insert((pri, task.unit, task.stage));
+        self.wake(w);
+    }
+
+    /// Have the next dispatch visit worker `w`.
+    fn wake(&mut self, w: usize) {
+        if !self.is_woken[w] {
+            self.is_woken[w] = true;
+            self.woken.push(w);
+        }
     }
 
     /// `true` while every stage of the current partition has a surviving
@@ -856,6 +899,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Give idle workers their best ready task (1F1B: backward first).
+    ///
+    /// Only woken workers are visited, in ascending id: a worker nothing
+    /// woke had no task to take at the last dispatch and still has none,
+    /// so the workers given tasks, and their order, are those of a scan
+    /// of every worker.
     fn dispatch(&mut self) {
         // 1F1B order (backward first); GPipe instead drains every forward
         // before any backward ("the micro-batches of the same mini-batch
@@ -863,8 +911,24 @@ impl<'a> Engine<'a> {
         // additionally gated on the worker's previous gradient sync
         // landing.
         let gpipe = matches!(self.cfg.schedule, ScheduleKind::GPipe { .. });
-        for w in 0..self.workers.len() {
-            if self.dead[w] || self.worker_busy_flag[w] || self.now < self.ready_after[w] - 1e-9 {
+        let mut visiting = std::mem::replace(&mut self.woken, std::mem::take(&mut self.visiting));
+        if std::mem::take(&mut self.wake_all) {
+            visiting.clear();
+            visiting.extend(0..self.workers.len());
+        } else {
+            visiting.sort_unstable();
+        }
+        for &w in &visiting {
+            self.is_woken[w] = false;
+        }
+        self.work.dispatch_visits += visiting.len() as u64;
+        for &w in &visiting {
+            if self.dead[w] || self.worker_busy_flag[w] {
+                continue;
+            }
+            if self.now < self.ready_after[w] - 1e-9 {
+                // Frozen by a migration: look again until it thaws.
+                self.wake(w);
                 continue;
             }
             let pick = if gpipe {
@@ -891,8 +955,12 @@ impl<'a> Engine<'a> {
             };
             let task = Task { unit, stage, kind };
             if kind == WorkKind::Forward && self.cfg.schedule.is_async() {
-                self.fwd_versions
-                    .insert((unit, stage), self.versions[stage]);
+                let version = self.versions[stage];
+                let row = &mut self.fwd_versions[stage];
+                match row.iter_mut().find(|(u, _)| *u == unit) {
+                    Some(entry) => entry.1 = version,
+                    None => row.push((unit, version)),
+                }
             }
             let flops = self.task_flops(task, w);
             self.worker_busy_flag[w] = true;
@@ -903,21 +971,21 @@ impl<'a> Engine<'a> {
                 started: self.now,
             });
         }
+        visiting.clear();
+        self.visiting = visiting;
     }
 
     /// Solve every transfer's max-min fair rate over the cached link
     /// capacities and store it on the transfer.
     fn solve_transfer_rates(&mut self) {
         self.rates_dirty = false;
-        let caps = &self.link_caps;
-        let capacity = |l: LinkId| caps[link_slot(l)];
         let flows = self.activities.iter().filter_map(|a| match a {
             Activity::Transfer { flow, .. } => Some(flow),
             _ => None,
         });
         let mut solved = max_min_fair_rates(
             flows,
-            capacity,
+            &self.link_caps,
             self.state.topology.local_bytes_per_sec,
             &mut self.fair_share,
         )
@@ -928,6 +996,8 @@ impl<'a> Engine<'a> {
                 *rate = solved.next().expect("one solved rate per transfer");
             }
         }
+        self.work.rate_solves += 1;
+        self.work.fill_rounds += self.fair_share.rounds();
     }
 
     /// Launch the transfer that feeds `unlocks` from `from_worker`.
@@ -941,7 +1011,7 @@ impl<'a> Engine<'a> {
             .state
             .topology
             .path(self.workers[from_worker], self.workers[to_worker]);
-        links.extend(path.into_iter().flatten());
+        links.extend(path.into_iter().flatten().map(LinkId::slot));
         self.activities.push(Activity::Transfer {
             flow: Flow::elastic(links),
             remaining_bytes: bytes,
@@ -954,13 +1024,14 @@ impl<'a> Engine<'a> {
     /// Keep a finished transfer's path buffer for a later transfer; the
     /// set of transfers changed, so their rates must be solved again.
     fn retire_transfer(&mut self, mut flow: Flow) {
-        flow.links.clear();
-        self.spare_paths.push(flow.links);
+        flow.path.clear();
+        self.spare_paths.push(flow.path);
         self.rates_dirty = true;
     }
 
     fn on_compute_done(&mut self, worker: usize, task: Task, started: f64) {
         self.worker_busy_flag[worker] = false;
+        self.wake(worker);
         self.busy[worker] += self.now - started;
         if self.cfg.record_timeline {
             self.segments.push(TimelineSegment {
@@ -1001,10 +1072,11 @@ impl<'a> Engine<'a> {
             WorkKind::Backward => {
                 if self.cfg.schedule.is_async() {
                     // Per-mini-batch weight update with stashing semantics.
-                    let fwd_v = self
-                        .fwd_versions
-                        .remove(&(task.unit, task.stage))
-                        .unwrap_or(self.versions[task.stage]);
+                    let row = &mut self.fwd_versions[task.stage];
+                    let fwd_v = match row.iter().position(|&(u, _)| u == task.unit) {
+                        Some(i) => row.swap_remove(i).1,
+                        None => self.versions[task.stage],
+                    };
                     let staleness = (self.versions[task.stage] - fwd_v) as f64;
                     if task.stage == 0 {
                         self.staleness_sum += staleness;
@@ -1160,7 +1232,9 @@ impl<'a> Engine<'a> {
         if new.n_stages() > self.versions.len() {
             let top = self.versions.iter().copied().max().unwrap_or(0);
             self.versions.resize(new.n_stages(), top);
+            self.fwd_versions.resize(new.n_stages(), Vec::new());
         }
+        self.wake_all = true;
         // Freeze the workers whose assignment changes for the migration
         // stall (two workers for AutoPipe's incremental moves); a
         // stop-and-restart switch freezes everyone.
@@ -1253,6 +1327,7 @@ impl<'a> Engine<'a> {
     /// mini-batch is ever silently dropped.
     fn strand_unit(&mut self, unit: u64) {
         self.stranded.insert(unit);
+        self.wake_all = true;
         for q in &mut self.ready {
             q.0.retain(|&(_, u, _)| u != unit);
         }
@@ -1276,7 +1351,9 @@ impl<'a> Engine<'a> {
                 i += 1;
             }
         }
-        self.fwd_versions.retain(|&(u, _), _| u != unit);
+        for row in &mut self.fwd_versions {
+            row.retain(|&(u, _)| u != unit);
+        }
     }
 
     /// Restart stranded units from stage 0 under the current partition
@@ -1315,6 +1392,7 @@ impl<'a> Engine<'a> {
             return;
         }
         self.dead[w] = true;
+        self.wake_all = true;
         self.fault_log.push(FaultRecord::WorkerFailed {
             worker: g,
             at: self.now,
@@ -1380,6 +1458,7 @@ impl<'a> Engine<'a> {
             return;
         }
         self.dead[w] = false;
+        self.wake_all = true;
         self.fault_log.push(FaultRecord::WorkerRecovered {
             worker: g,
             at: self.now,
@@ -1395,6 +1474,7 @@ impl<'a> Engine<'a> {
     /// is reinstated for the aborted epoch's units by shadowing it.
     fn rollback_migration(&mut self, m: &ActiveMigration, victim: GpuId) {
         self.active_migration = None;
+        self.wake_all = true;
         let progress = ((self.now - m.started) / (m.ends - m.started).max(1e-12)).clamp(0.0, 1.0);
         let rollback = (self.now - m.started).max(0.0);
         // Shadow the aborted epoch: a fresh regime with the pre-switch
@@ -1430,6 +1510,7 @@ impl<'a> Engine<'a> {
         if steps >= MAX_STEPS {
             return Err(SimError::StepBudgetExhausted { steps });
         }
+        self.work.ticks += 1;
         self.try_restart_stranded();
         self.inject();
         self.dispatch();
@@ -1521,6 +1602,7 @@ impl<'a> Engine<'a> {
                 0.0
             },
             faults: std::mem::take(&mut self.fault_log),
+            work: self.work,
         }
     }
 
@@ -1623,7 +1705,10 @@ impl<'a> Engine<'a> {
                     self.retire_transfer(flow);
                     match unlocks {
                         Unlock::Task(t) => self.mark_ready(t),
-                        Unlock::SyncDone(w) => self.sync_busy[w] = false,
+                        Unlock::SyncDone(w) => {
+                            self.sync_busy[w] = false;
+                            self.wake(w);
+                        }
                     }
                 }
                 Activity::Timer { .. } => {}

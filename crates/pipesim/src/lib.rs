@@ -44,8 +44,8 @@ pub use ap_ir::ScheduleKind;
 pub use calibration::Calibration;
 pub use convergence::{accuracy_curve, ConvergenceModel, Paradigm};
 pub use engine::{
-    Engine, EngineConfig, FaultRecord, IterationRecord, SimError, SimResult, TimelineSegment,
-    WorkKind,
+    Engine, EngineConfig, EngineWork, FaultRecord, IterationRecord, SimError, SimResult,
+    TimelineSegment, WorkKind,
 };
 pub use framework::Framework;
 pub use partition::{Partition, PartitionError, Replicas, Stage};

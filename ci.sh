@@ -113,14 +113,13 @@ echo "== serve + resilience smoke =="
 # failures open the circuit breaker, /plan keeps answering 200 with
 # "degraded": true, the half-open probe closes it again, a zero-capacity
 # bulkhead sheds cleanly) and a graceful drain. Exits 2 if the daemon
-# fails to run and 3 if any check fails. Run twice under different
-# AP_PAR_THREADS: smoke output uses fixed-clock reporting, so the JSON
-# must be byte-identical (the planner is deterministic across thread
-# counts).
+# fails to run and 3 if any check fails. It runs twice as a determinism
+# check: smoke output uses fixed-clock reporting, so the JSON must be
+# byte-identical across runs.
 serve_tmp="$(mktemp -d)"
 trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp" "$serve_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/a"
-AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/b"
+cargo run --release --offline -p ap-bench --bin repro -- serve-bench --smoke --json "$serve_tmp/b"
 cmp "$serve_tmp/a/serve.json" "$serve_tmp/b/serve.json"
 
 echo "== exec smoke =="
@@ -133,17 +132,16 @@ echo "== exec smoke =="
 # numerics independent of thread timing, so the two runs' JSON must be
 # byte-identical — including the calibrated predictions and the emitted
 # calibration.json (smoke pins synthetic calibration constants, and the
-# engine's calibrated simulation is deterministic). Each stage computes
-# on its own thread alone: neither ap-exec nor the serial hill-climb it
-# calls reads AP_PAR_THREADS. The AP_PAR_THREADS=1 run is kept so that a
-# fan-out added anywhere on this path cannot change the bytes unnoticed.
+# engine's calibrated simulation is deterministic). Each schedule runs
+# twice as a determinism check, so a source of run-to-run variation added
+# anywhere on this path cannot change the bytes unnoticed.
 # Both an async and a flush schedule replay the same IR contract, so the
 # determinism gate runs per schedule kind.
 exec_tmp="$(mktemp -d)"
 trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp" "$serve_tmp" "$exec_tmp"' EXIT
 for sched in pipedream_async gpipe; do
   cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-a"
-  AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-b"
+  cargo run --release --offline -p ap-bench --bin repro -- exec-validate --smoke --calibrate --schedule "$sched" --json "$exec_tmp/$sched-b"
   cmp "$exec_tmp/$sched-a/exec_validate.json" "$exec_tmp/$sched-b/exec_validate.json"
   cmp "$exec_tmp/$sched-a/calibration.json" "$exec_tmp/$sched-b/calibration.json"
 done
@@ -154,15 +152,15 @@ echo "== cluster control-plane smoke =="
 # mid-trace. Exits 3 if placement stalls or the neighborhood-replanned
 # objective drifts past the declared epsilon from whole-world
 # best-response. Smoke runs under a fake clock (every wall-clock field
-# zeroed), so the JSON must be byte-identical across AP_PAR_THREADS —
-# placement decisions never depend on the worker-pool width.
+# zeroed), so it runs twice as a determinism check: the JSON must be
+# byte-identical across runs.
 # (plain grep, not -q: -q exits on first match and breaks repro's pipe
 # mid-listing, which pipefail turns into a spurious failure)
 cargo run --release --offline -p ap-bench --bin repro -- list | grep cluster-bench >/dev/null
 sched_tmp="$(mktemp -d)"
 trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/a"
-AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/b"
+cargo run --release --offline -p ap-bench --bin repro -- cluster-bench --smoke --json "$sched_tmp/b"
 cmp "$sched_tmp/a/cluster.json" "$sched_tmp/b/cluster.json"
 
 echo "== memory-aware planning smoke =="
@@ -170,13 +168,13 @@ echo "== memory-aware planning smoke =="
 # rich keeps the requested async schedule at full depth, mid clamps the
 # in-flight depth, starved switches schedule (recompute), hopeless is
 # infeasible. Exits 3 if the schedule choice fails to flip with
-# capacity. Pure closed-form model arithmetic, so the JSON must be
-# byte-identical across AP_PAR_THREADS.
+# capacity. Pure closed-form model arithmetic, so it runs twice as a
+# determinism check: the JSON must be byte-identical.
 cargo run --release --offline -p ap-bench --bin repro -- list | grep mem-bench >/dev/null
 mem_tmp="$(mktemp -d)"
 trap 'rm -rf "$mm_tmp" "$repro_tmp" "$bench_tmp" "$serve_tmp" "$exec_tmp" "$sched_tmp" "$mem_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/a"
-AP_PAR_THREADS=1 cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/b"
+cargo run --release --offline -p ap-bench --bin repro -- mem-bench --smoke --json "$mem_tmp/b"
 cmp "$mem_tmp/a/mem.json" "$mem_tmp/b/mem.json"
 
 echo "ci: all green"

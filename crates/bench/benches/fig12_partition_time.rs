@@ -7,12 +7,14 @@
 //! deepest served models, ResNet-101 and ResNet-152.
 
 use ap_bench::timing;
-use ap_cluster::{gbps, GpuId};
+use ap_cluster::{gbps, ClusterState, ClusterTopology, GpuId};
 use ap_models::{alexnet, resnet101, resnet152, resnet50, vgg16, ModelProfile};
 use ap_planner::{pipedream_plan, two_worker_moves, PipeDreamView};
 use autopipe::arbiter::{Arbiter, ArbiterInput};
-use autopipe::metrics::{static_metrics_from_profile, FeatureEncoder, DYNAMIC_DIM};
-use autopipe::{MetaNet, MetaNetConfig};
+use autopipe::controller::{AutoPipeConfig, ScoreCtx};
+use autopipe::metrics::DYNAMIC_DIM;
+use autopipe::{MetaNet, MetaNetConfig, Scorer};
+use std::collections::VecDeque;
 use std::hint::black_box;
 
 fn main() {
@@ -24,8 +26,12 @@ fn main() {
         gpu_flops: 9.3e12,
     };
     let net = MetaNet::new(MetaNetConfig::default());
+    let history: VecDeque<Vec<f64>> = (0..net.config().seq_len)
+        .map(|_| vec![0.5; DYNAMIC_DIM])
+        .collect();
+    let scorer = Scorer::MetaNet(Box::new(net));
+    let state = ClusterState::new(ClusterTopology::paper_testbed(25.0));
     let arbiter = Arbiter::new(3);
-    let encoder = FeatureEncoder;
 
     for model in [alexnet(), resnet50(), vgg16()] {
         let profile = ModelProfile::of(&model);
@@ -34,23 +40,18 @@ fn main() {
         });
 
         let plan = pipedream_plan(&profile, &gpus, view);
-        let dyn_seq: Vec<Vec<f64>> = (0..net.config().seq_len)
-            .map(|_| vec![0.5; DYNAMIC_DIM])
-            .collect();
+        let ctx = ScoreCtx {
+            model: AutoPipeConfig::default().model(&profile),
+            history: &history,
+            state: &state,
+        };
         timing::run(
             &format!("meta_net_neighborhood/{}", model.name),
             runs,
             || {
-                // The production path: one LSTM pass, FC head per candidate.
-                let h = net.encode_history(&dyn_seq);
-                let mut best = f64::NEG_INFINITY;
-                for mv in two_worker_moves(&plan, profile.n_layers()) {
-                    let cand = mv.apply(&plan);
-                    let m = static_metrics_from_profile(&profile, cand.n_workers());
-                    let stat = encoder.encode_static(&m, &cand);
-                    best = best.max(net.predict_from_encoding(&h, &stat));
-                }
-                black_box(best);
+                // The production path: the controller's scoring stage.
+                let moves = two_worker_moves(&plan, profile.n_layers());
+                black_box(scorer.best(&ctx, &plan, &moves));
             },
         );
 

@@ -195,9 +195,9 @@ fn main() {
 /// model and sweep per-GPU capacity from rich to hopeless, letting
 /// `fit_schedule` keep / clamp / switch / reject the requested deep-async
 /// schedule at each rung. Closed-form and clock-free, so smoke output is
-/// byte-identical across runs and `AP_PAR_THREADS`. The full run exports
-/// `BENCH_mem.json`. Exits non-zero if a gate fails (a stage over
-/// capacity, or the choice failing to flip across the ladder).
+/// byte-identical across runs. The full run exports `BENCH_mem.json`.
+/// Exits non-zero if a gate fails (a stage over capacity, or the choice
+/// failing to flip across the ladder).
 fn run_mem_bench(smoke: bool, json: &Option<PathBuf>) {
     println!("\n## Mem — memory-aware planning across a capacity ladder\n");
     let r = mem_bench::run(smoke);
@@ -259,9 +259,9 @@ fn run_mem_bench(smoke: bool, json: &Option<PathBuf>) {
 /// picks which pipeline schedules get sim-vs-real rows (default
 /// `pipedream_async`). The full run exports `BENCH_exec.json`; `--smoke`
 /// zeroes every wall-clock-derived field so its `--json` output is
-/// byte-identical across runs and `AP_PAR_THREADS` settings. Exits
-/// non-zero if the pipeline drains during the switch, a pre-cutover loss
-/// diverges, or training fails to make progress.
+/// byte-identical across runs. Exits non-zero if the pipeline drains
+/// during the switch, a pre-cutover loss diverges, or training fails to
+/// make progress.
 fn run_exec_validate(
     smoke: bool,
     calibrate: bool,
@@ -354,8 +354,8 @@ fn run_exec_validate(
 /// sweep, a cached-plan throughput sweep, a 4x-capacity overload burst and
 /// a graceful shutdown. The full run exports `BENCH_serve.json`; `--smoke`
 /// runs the same checks with fixed-clock reporting (every wall-clock field
-/// zeroed), so its `--json` output is byte-identical across runs and
-/// `AP_PAR_THREADS` settings. Exits non-zero if the daemon misbehaves.
+/// zeroed), so its `--json` output is byte-identical across runs. Exits
+/// non-zero if the daemon misbehaves.
 fn run_serve_bench(smoke: bool, json: &Option<PathBuf>) {
     println!("\n## Serve — planning-as-a-service daemon under load\n");
     let r = match serve_bench::run(smoke) {
@@ -455,8 +455,8 @@ fn run_serve_bench(smoke: bool, json: &Option<PathBuf>) {
 /// requires the largest scale's neighborhood re-planning to beat a
 /// whole-world round by the declared factor; `--smoke` keeps to the small
 /// scales with a fake clock (every wall-clock field zeroed), so its
-/// `--json` output is byte-identical across runs and `AP_PAR_THREADS`
-/// settings. Exits non-zero if a gate fails.
+/// `--json` output is byte-identical across runs. Exits non-zero if a
+/// gate fails.
 fn run_cluster_bench(smoke: bool, json: &Option<PathBuf>) {
     println!("\n## Cluster — the ap-sched control plane under a seeded job stream\n");
     let r = cluster_bench::run(smoke);

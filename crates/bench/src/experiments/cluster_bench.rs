@@ -14,9 +14,8 @@
 //! [`EQUIVALENCE_EPSILON`] of the whole-world answer on small instances.
 //!
 //! `--smoke` swaps the wall clock for a [`FakeClock`] and zeroes every
-//! latency field, so its `--json` output is byte-identical across runs
-//! and `AP_PAR_THREADS` settings; the quality gate still runs (planning
-//! itself is deterministic).
+//! latency field, so its `--json` output is byte-identical across runs;
+//! the quality gate still runs (planning itself is deterministic).
 
 use std::sync::Arc;
 use std::time::Instant;

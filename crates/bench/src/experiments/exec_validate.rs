@@ -23,8 +23,7 @@
 //!
 //! `--smoke` keeps everything deterministic: synthetic calibration times
 //! feed the prediction, and every wall-clock-derived field is reported as
-//! zero, so the `--json` output is byte-identical across reruns and
-//! `AP_PAR_THREADS` settings.
+//! zero, so the `--json` output is byte-identical across reruns.
 
 use ap_cluster::gpu::GpuKind;
 use ap_cluster::{gbps, ClusterState, ClusterTopology, GpuId, ResourceTimeline};
@@ -286,8 +285,8 @@ impl Campaign {
 
     /// The cost-model calibration used for calibrated predictions. Smoke
     /// uses fixed synthetic constants so reports stay byte-identical
-    /// across reruns and `AP_PAR_THREADS`; full fits from instrumented
-    /// micro-runs on this host.
+    /// across reruns; full fits from instrumented micro-runs on this
+    /// host.
     fn calibration(&self) -> Result<Calibration, String> {
         if self.smoke {
             Ok(Calibration {

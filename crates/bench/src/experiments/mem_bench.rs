@@ -20,7 +20,7 @@
 //!
 //! Real GPU tiers (A100/V100/P100) ride along as ungated reference rows.
 //! Everything is closed-form arithmetic — no wall clocks, no threads — so
-//! the report is byte-identical across runs and `AP_PAR_THREADS`.
+//! the report is byte-identical across runs.
 
 use ap_cluster::gpu::GpuKind;
 use ap_cluster::{ClusterState, ClusterTopology, GpuId};

@@ -5,16 +5,16 @@
 //! arbiter pass. The paper reports both meta-net and RL far below the DP
 //! and the total under one second.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
-use ap_cluster::{gbps, GpuId};
+use ap_cluster::{gbps, ClusterState, ClusterTopology, GpuId};
 use ap_models::{alexnet, resnet50, vgg16, ModelProfile};
 use ap_planner::{pipedream_plan, two_worker_moves, PipeDreamView};
 use autopipe::arbiter::{Arbiter, ArbiterInput};
-use autopipe::metrics::{
-    static_metrics_from_profile, FeatureEncoder, ProfilingMetrics, DYNAMIC_DIM,
-};
-use autopipe::{MetaNet, MetaNetConfig};
+use autopipe::controller::{AutoPipeConfig, ScoreCtx};
+use autopipe::metrics::DYNAMIC_DIM;
+use autopipe::{MetaNet, MetaNetConfig, Scorer};
 
 /// One model's partition-modeling costs.
 #[derive(Debug, Clone)]
@@ -29,8 +29,14 @@ pub struct OverheadRow {
     pub rl_seconds: f64,
 }
 
-/// Time the three planners on one model.
-pub fn measure(profile: &ModelProfile, net: &MetaNet, arbiter: &Arbiter) -> OverheadRow {
+/// Time the three planners on one model. `scorer` is the meta-network
+/// scorer and `history` its dynamic input.
+pub fn measure(
+    profile: &ModelProfile,
+    scorer: &Scorer,
+    history: &VecDeque<Vec<f64>>,
+    arbiter: &Arbiter,
+) -> OverheadRow {
     let gpus: Vec<GpuId> = (0..10).map(GpuId).collect();
     let view = PipeDreamView {
         bandwidth: gbps(25.0),
@@ -41,44 +47,22 @@ pub fn measure(profile: &ModelProfile, net: &MetaNet, arbiter: &Arbiter) -> Over
     let plan = pipedream_plan(profile, &gpus, view);
     let dp_seconds = t0.elapsed().as_secs_f64();
 
-    // Meta-net: score every two-worker move of the DP plan on the
-    // production path — the history is encoded once, static metrics are
-    // computed once per worker count, and the candidates fan out over the
-    // in-tree thread pool.
-    let encoder = FeatureEncoder;
-    let dyn_seq: Vec<Vec<f64>> = (0..net.config().seq_len)
-        .map(|_| vec![0.5; DYNAMIC_DIM])
-        .collect();
+    // Meta-net: score every two-worker move of the DP plan through the
+    // controller's own scoring stage.
+    let state = ClusterState::new(ClusterTopology::paper_testbed(25.0));
+    let ctx = ScoreCtx {
+        model: AutoPipeConfig::default().model(profile),
+        history,
+        state: &state,
+    };
     let t1 = Instant::now();
-    let candidates: Vec<_> = two_worker_moves(&plan, profile.n_layers())
-        .iter()
-        .map(|mv| mv.apply(&plan))
-        .collect();
-    let h = net.encode_history(&dyn_seq);
-    let mut static_by_workers: Vec<(usize, ProfilingMetrics)> = Vec::new();
-    for cand in &candidates {
-        let n = cand.n_workers();
-        if !static_by_workers.iter().any(|&(k, _)| k == n) {
-            static_by_workers.push((n, static_metrics_from_profile(profile, n)));
-        }
-    }
-    let best = ap_par::map(candidates, |cand| {
-        let m = &static_by_workers
-            .iter()
-            .find(|&&(k, _)| k == cand.n_workers())
-            .expect("metrics precomputed for every worker count")
-            .1;
-        let stat = encoder.encode_static(m, &cand);
-        net.predict_from_encoding(&h, &stat)
-    })
-    .into_iter()
-    .fold(f64::NEG_INFINITY, f64::max);
+    let best = scorer.best(&ctx, &plan, &two_worker_moves(&plan, profile.n_layers()));
     let meta_net_seconds = t1.elapsed().as_secs_f64();
 
     let t2 = Instant::now();
     let _ = arbiter.decide(&ArbiterInput {
         current_speed: 100.0,
-        candidate_speed: best.exp(),
+        candidate_speed: best.map_or(0.0, |(speed, _)| speed),
         switch_cost: 1.0,
         iteration_time: 0.5,
         horizon_iterations: 100.0,
@@ -97,10 +81,14 @@ pub fn measure(profile: &ModelProfile, net: &MetaNet, arbiter: &Arbiter) -> Over
 /// Figure 12: AlexNet, ResNet50, VGG16.
 pub fn fig12() -> Vec<OverheadRow> {
     let net = MetaNet::new(MetaNetConfig::default());
+    let history = (0..net.config().seq_len)
+        .map(|_| vec![0.5; DYNAMIC_DIM])
+        .collect();
+    let scorer = Scorer::MetaNet(Box::new(net));
     let arbiter = Arbiter::new(3);
     [alexnet(), resnet50(), vgg16()]
         .iter()
-        .map(|m| measure(&ModelProfile::of(m), &net, &arbiter))
+        .map(|m| measure(&ModelProfile::of(m), &scorer, &history, &arbiter))
         .collect()
 }
 

@@ -19,7 +19,7 @@
 //! * **`--smoke`** — the same checks gated for CI with every wall-clock
 //!   reading reported as zero (fixed-clock reporting) and racy overload
 //!   tallies reduced to their boolean verdicts, so the emitted JSON is
-//!   byte-identical across runs and `AP_PAR_THREADS` settings.
+//!   byte-identical across runs.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};

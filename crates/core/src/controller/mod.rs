@@ -12,12 +12,15 @@
 //!
 //! profiling the cluster (Table 1 metrics), feeding the change detector,
 //! and — when a change is confirmed — enumerating the two-worker
-//! neighborhood of the current partition, scoring every candidate with
-//! the meta-network (or the analytic model, for ablation), pricing the
-//! switch, and letting the RL arbiter decide. Approved switches are
-//! applied with fine-grained layer-by-layer migration (or
-//! stop-and-restart, for ablation) and later verified against their
-//! measured reward.
+//! neighborhood of the current partition, scoring every candidate,
+//! pricing the switch, and letting the RL arbiter decide. Every
+//! production path — ap-serve's `/plan`, ap-sched's hill-climb, the
+//! dynamic figures and the chaos drill — scores with the analytic model
+//! ([`Scorer::Analytic`]); the paper's learned meta-network
+//! ([`Scorer::MetaNet`]) is exercised by the ablations, Figure 12 and
+//! the scoring bench. Approved switches are applied with fine-grained
+//! layer-by-layer migration (or stop-and-restart, for ablation) and later
+//! verified against their measured reward.
 //!
 //! Each stage is one plain type in its own submodule, called directly:
 //! [`RewardVerifier`], [`ProfilerObserver`], [`ChangeMonitor`],

@@ -33,11 +33,9 @@ pub fn pretrain_meta_net(
     };
     let all_gpus: Vec<GpuId> = (0..topo.n_gpus()).map(GpuId).collect();
     let seq_len = meta_cfg.seq_len;
-    // Labeled samples are independent, so they are generated in parallel.
     // Sample `i` draws from its own RNG stream `(seed, i)` and retries
-    // infeasible environments within that stream, so the data set is
-    // identical for any thread count.
-    let samples: Vec<TrainingSample> = ap_par::map_indexed(n_samples, |i| {
+    // infeasible environments within that stream.
+    let sample = |i: usize| {
         let mut rng = Rng::stream(seed, i as u64);
         loop {
             // Random environment.
@@ -77,7 +75,8 @@ pub fn pretrain_meta_net(
                 log_throughput: tp.ln(),
             };
         }
-    });
+    };
+    let samples: Vec<TrainingSample> = (0..n_samples).map(sample).collect();
     let mut net = MetaNet::new(meta_cfg);
     net.train(&samples, epochs, seed.wrapping_add(1));
     net

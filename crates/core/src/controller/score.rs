@@ -26,11 +26,11 @@ pub struct ScoreCtx<'a> {
 
 /// What scores candidate partitions.
 pub enum Scorer {
-    /// The learned meta-network (the paper's design).
+    /// The learned meta-network (the paper's design), used by the
+    /// ablations, Figure 12 and the scoring bench.
     MetaNet(Box<MetaNet>),
-    /// Direct analytic evaluation (ablation: perfect model, slower in
-    /// spirit — on a real system this is the "tens of minutes" full model
-    /// the paper rejects).
+    /// Direct analytic evaluation: what every production path scores
+    /// with (ap-serve, ap-sched, the dynamic figures, the chaos drill).
     Analytic,
 }
 
@@ -69,8 +69,8 @@ impl Scorer {
     ///   candidate, so the LSTM runs *once* ([`MetaNet::encode_history`])
     ///   and each candidate pays only the fully-connected head. Static
     ///   Table-1 metrics depend only on the worker count, so they are
-    ///   computed once per distinct count. The heads fan out over
-    ///   `ap_par`'s order-preserving parallel map.
+    ///   computed once per distinct count. Like the analytic arm, it
+    ///   runs serially on the calling thread.
     ///
     /// Both arms end in a `max_by(total_cmp)` over scores in input order,
     /// so the selected move is the last of the highest scores, exactly as
@@ -92,27 +92,24 @@ impl Scorer {
             Scorer::MetaNet(net) => {
                 let seq: Vec<Vec<f64>> = ctx.history.iter().cloned().collect();
                 let h = net.encode_history(&seq);
-                let candidates: Vec<(MoveKind, Partition)> =
-                    moves.iter().map(|mv| (*mv, mv.apply(base))).collect();
                 let mut static_by_workers: Vec<(usize, ProfilingMetrics)> = Vec::new();
-                for (_, p) in &candidates {
-                    let n = p.n_workers();
-                    if !static_by_workers.iter().any(|&(k, _)| k == n) {
-                        static_by_workers
-                            .push((n, static_metrics_from_profile(ctx.model.profile, n)));
-                    }
-                }
-                ap_par::map(candidates, |(mv, p)| {
-                    let m = &static_by_workers
-                        .iter()
-                        .find(|&&(k, _)| k == p.n_workers())
-                        .expect("metrics precomputed for every worker count")
-                        .1;
-                    let stat = FeatureEncoder.encode_static(m, &p);
-                    (net.predict_throughput_from_encoding(&h, &stat), mv)
-                })
-                .into_iter()
-                .max_by(|a, b| a.0.total_cmp(&b.0))
+                moves
+                    .iter()
+                    .map(|&mv| {
+                        let p = mv.apply(base);
+                        let n = p.n_workers();
+                        let at = match static_by_workers.iter().position(|&(k, _)| k == n) {
+                            Some(at) => at,
+                            None => {
+                                static_by_workers
+                                    .push((n, static_metrics_from_profile(ctx.model.profile, n)));
+                                static_by_workers.len() - 1
+                            }
+                        };
+                        let stat = FeatureEncoder.encode_static(&static_by_workers[at].1, &p);
+                        (net.predict_throughput_from_encoding(&h, &stat), mv)
+                    })
+                    .max_by(|a, b| a.0.total_cmp(&b.0))
             }
         }
     }

@@ -344,7 +344,7 @@ fn pretrained_meta_net_correlates_with_analytic_truth() {
 /// through the unhoisted per-candidate path, across seeded scenarios
 /// and both scorer arms.
 #[test]
-fn parallel_scoring_matches_serial_reference() {
+fn best_matches_per_candidate_reference() {
     let p = profile();
     for seed in [3u64, 11, 42] {
         let mut rng = ap_rng::Rng::seed_from_u64(seed);

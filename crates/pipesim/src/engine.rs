@@ -557,8 +557,9 @@ pub struct Engine<'a> {
     /// The list of the dispatch in progress, kept so that both lists
     /// reuse their buffers.
     visiting: Vec<usize>,
-    /// A switch, failure, recovery, rollback or strand changed workers in
-    /// ways the list does not track: the next dispatch visits all.
+    /// The first dispatch visits every worker, and so does the one after
+    /// a failure, recovery or rollback, which change workers in ways the
+    /// list does not track.
     wake_all: bool,
     work: EngineWork,
 }
@@ -1234,7 +1235,6 @@ impl<'a> Engine<'a> {
             self.versions.resize(new.n_stages(), top);
             self.fwd_versions.resize(new.n_stages(), Vec::new());
         }
-        self.wake_all = true;
         // Freeze the workers whose assignment changes for the migration
         // stall (two workers for AutoPipe's incremental moves); a
         // stop-and-restart switch freezes everyone.
@@ -1327,7 +1327,6 @@ impl<'a> Engine<'a> {
     /// mini-batch is ever silently dropped.
     fn strand_unit(&mut self, unit: u64) {
         self.stranded.insert(unit);
-        self.wake_all = true;
         for q in &mut self.ready {
             q.0.retain(|&(_, u, _)| u != unit);
         }
@@ -1343,7 +1342,10 @@ impl<'a> Engine<'a> {
             };
             if drop {
                 match self.activities.swap_remove(i) {
-                    Activity::Compute { worker, .. } => self.worker_busy_flag[worker] = false,
+                    Activity::Compute { worker, .. } => {
+                        self.worker_busy_flag[worker] = false;
+                        self.wake(worker);
+                    }
                     Activity::Transfer { flow, .. } => self.retire_transfer(flow),
                     _ => {}
                 }
@@ -2529,5 +2531,47 @@ mod tests {
             2.0 * shared[1].1,
             "the survivor takes the whole link"
         );
+    }
+
+    #[test]
+    fn stranding_a_running_unit_wakes_the_freed_worker() {
+        let topo = ClusterTopology::single_switch(2, 1, GpuKind::P100, 10.0);
+        let model = synthetic_uniform(4, 2e9, 4e6, 8e6);
+        let profile = ModelProfile::with_batch(&model, 32);
+        let partition = Partition {
+            stages: vec![
+                Stage::new(0..2, vec![GpuId(0)]),
+                Stage::new(2..4, vec![GpuId(1)]),
+            ],
+            in_flight: 2,
+        };
+        let mut eng = Engine::new(
+            &profile,
+            partition,
+            ClusterState::new(topo),
+            ResourceTimeline::empty(),
+            EngineConfig::default(),
+        )
+        .expect("valid");
+        let running = |eng: &Engine| -> Vec<(usize, u64)> {
+            eng.activities
+                .iter()
+                .filter_map(|a| match a {
+                    Activity::Compute { worker, task, .. } => Some((*worker, task.unit)),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Units 0 and 1 queue on worker 0, which starts unit 0.
+        eng.inject();
+        eng.dispatch();
+        assert_eq!(running(&eng), vec![(0, 0)]);
+        assert!(eng.woken.is_empty());
+        // Dropping the running compute wakes worker 0, and only it.
+        eng.strand_unit(0);
+        assert!(!eng.wake_all);
+        assert_eq!(eng.woken, vec![0]);
+        eng.dispatch();
+        assert_eq!(running(&eng), vec![(0, 1)]);
     }
 }

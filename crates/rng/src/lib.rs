@@ -15,10 +15,10 @@
 //! * Gaussian sampling via Box–Muller ([`Rng::normal`]).
 //! * Fisher–Yates shuffling ([`Rng::shuffle`]).
 //!
-//! Independent deterministic streams (e.g. one per parallel worker) come
-//! from [`Rng::stream`], which derives a child generator by mixing the
-//! parent seed with the stream index — the parallel sample generators use
-//! this so results do not depend on thread count or interleaving.
+//! Independent deterministic streams (e.g. one per sample) come from
+//! [`Rng::stream`], which derives a child generator by mixing the parent
+//! seed with the stream index — the meta-network's pretraining sampler
+//! uses this so each sample's draws do not depend on any other's.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -42,8 +42,9 @@ impl Rng {
     /// Derive an independent child stream for `(self seed, index)`.
     ///
     /// Children of distinct indices have uncorrelated outputs (the index
-    /// passes through the full avalanche mix), so parallel workers can
-    /// each take one and produce results independent of scheduling.
+    /// passes through the full avalanche mix), so independent samples or
+    /// workers can each take one and produce results independent of order
+    /// and scheduling.
     pub fn stream(seed: u64, index: u64) -> Self {
         // Mix the index through one SplitMix64 round before combining so
         // consecutive indices land far apart in the state space.

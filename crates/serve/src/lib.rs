@@ -22,7 +22,7 @@
 //!
 //! The stack is hermetic: HTTP/1.1 over [`std::net::TcpListener`]
 //! ([`http`]), JSON via the shared [`ap_json`] crate, and a worker pool
-//! sized like [`ap_par::threads`]. In front of the planner sits an LRU
+//! of one thread per core (at most 16). In front of the planner sits an LRU
 //! **plan cache** ([`cache`]) keyed by a canonical digest of
 //! `(cluster signature, model, planner config)`. It stores each verified
 //! answer as its rendered hit body, so a hit costs parsing, keying and
@@ -39,12 +39,9 @@
 //! in-flight request before workers exit.
 //!
 //! Planning is deterministic — same request, same plan, regardless of
-//! worker count or `AP_PAR_THREADS`. `/plan` refines with the analytic
-//! scorer, which prices each round's moves serially on the worker thread
-//! serving the request; the pool width only sets how many requests are
-//! planned at once. The one parallel scorer, the meta-network arm,
-//! preserves order ([`ap_par::map`]) and keeps the last of equal maxima,
-//! so it selects exactly what a serial scan would.
+//! worker count. `/plan` refines with the analytic scorer, which prices
+//! each round's moves serially on the worker thread serving the request;
+//! the pool width only sets how many requests are planned at once.
 
 pub mod admission;
 pub mod api;

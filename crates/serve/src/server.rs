@@ -103,7 +103,8 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: ap_par::threads(),
+            // One worker per available core, at most 16.
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(16)),
             queue_capacity: 64,
             cache_capacity: 128,
             timing: Timing::default(),

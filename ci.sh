@@ -35,23 +35,27 @@ cargo test -q --release --offline -p autopipe --test delta_pricing
 cargo test -q --release --offline -p ap-cluster --test fair_share_oracle
 cargo test -q --release --offline -p ap-serve --test verify_golden
 
-echo "== matmul release equivalence =="
-# The equivalence suite runs in debug, where vectorized codegen differs
+echo "== matmul and tanh release equivalence =="
+# The equivalence suites run in debug, where vectorized codegen differs
 # from what ships. matmul_bench asserts that the kernel and its
 # transposed-operand forms are bit-identical to the naive loop at its
-# shapes with release codegen, before timing; its numbers go to a temp
-# file, not the committed BENCH_hotpath.json.
+# shapes, and that the tanh slice kernel equals the scalar tanh, with
+# release codegen, before timing; its numbers go to a temp file, not the
+# committed BENCH_hotpath.json. The tanh suite's pinned output bits must
+# hold in release too.
 mm_tmp="$(mktemp -d)"
 trap 'rm -rf "$mm_tmp"' EXIT
 cargo run --release --offline -p ap-bench --bin matmul_bench -- "$mm_tmp/BENCH_hotpath.json"
+cargo test -q --release --offline -p ap-nn --test tanh
 
-echo "== matmul equivalence without AVX-512 =="
-# Where AVX-512 is enabled the kernel's register block is 8 rows of
-# 512-bit lanes; elsewhere it is 2 rows of portable lanes, so an AVX-512
-# host would never test the portable build. Run the equivalence suite
-# once more with AVX-512 off, in its own target directory.
+echo "== matmul and tanh equivalence without AVX-512 =="
+# Where AVX-512 is enabled the kernels run on 512-bit lanes (the
+# product's register block is 8 rows of them); elsewhere on portable
+# lanes (2 rows), so an AVX-512 host would never test the portable build.
+# Run the equivalence and tanh suites once more with AVX-512 off, in
+# their own target directory: tanh's pinned bits must not move.
 RUSTFLAGS="-C target-cpu=native -C target-feature=-avx512f" CARGO_TARGET_DIR=target/no-avx512 \
-  cargo test -q --offline -p ap-nn --test matmul_equivalence
+  cargo test -q --offline -p ap-nn --test matmul_equivalence --test tanh
 
 echo "== benchmark build =="
 # perfbench (BENCHMARK.json's command) builds the workspace crates from

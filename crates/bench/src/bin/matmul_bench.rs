@@ -16,13 +16,19 @@
 //! switch-cost layers); each of those takes about a microsecond, so every
 //! timed run there is a batch of `ROW_REPS` calls.
 //!
-//! Results merge into the `"matmul"` key of `BENCH_hotpath.json` in the
-//! current directory (or the path given as the first argument), leaving
-//! other benches' keys intact.
+//! A last table times what follows each hidden layer's product: tanh over
+//! one 128 x 128 layer output, libm's scalar `tanh` against ap-nn's slice
+//! kernel, after asserting that the kernel is bit-equal to ap-nn's
+//! scalar `tanh` with this build's codegen.
+//!
+//! Results merge into the `"matmul"` and `"activation"` keys of
+//! `BENCH_hotpath.json` in the current directory (or the path given as
+//! the first argument), leaving other benches' keys intact.
 
 use ap_bench::json::{merge_file_key, Json};
 use ap_bench::timing;
 use ap_nn::Matrix;
+use ap_rng::Rng;
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -30,6 +36,9 @@ const RUNS: usize = 9;
 
 /// Calls per timed run of a single-row product.
 const ROW_REPS: usize = 2000;
+
+/// Values per timed tanh run: one 128 x 128 layer output.
+const ACT_VALUES: usize = 128 * 128;
 
 /// The seed kernel: plain ikj with the `a == 0.0` skip, no blocking. The
 /// production kernel must reproduce its output exactly.
@@ -176,4 +185,54 @@ fn main() {
     ]);
     merge_file_key(&out_path, "matmul", doc).expect("write BENCH_hotpath.json");
     println!("merged key \"matmul\" into {}", out_path.display());
+
+    let doc = activation();
+    merge_file_key(&out_path, "activation", doc).expect("write BENCH_hotpath.json");
+    println!("merged key \"activation\" into {}", out_path.display());
+}
+
+/// libm's `tanh` against ap-nn's over one layer of pre-activations in
+/// [-4, 4]; both arms first copy the layer into the buffer they map.
+fn activation() -> Json {
+    let mut rng = Rng::seed_from_u64(23);
+    let xs: Vec<f64> = (0..ACT_VALUES).map(|_| rng.gen_range(-4.0..4.0)).collect();
+    let mut buf = xs.clone();
+    ap_nn::tanh_in_place(&mut buf);
+    for (&x, y) in xs.iter().zip(&buf) {
+        assert!(
+            y.to_bits() == ap_nn::tanh(x).to_bits(),
+            "tanh slice kernel diverged from the scalar path at {x:e}"
+        );
+    }
+
+    println!("\nactivation: tanh over {ACT_VALUES} values");
+    let libm = timing::bench("tanh/libm", RUNS, || {
+        buf.copy_from_slice(black_box(&xs));
+        for v in &mut buf {
+            *v = v.tanh();
+        }
+        black_box(&buf);
+    });
+    println!("{}", libm.report());
+    let kernel = timing::bench("tanh/ap-nn", RUNS, || {
+        buf.copy_from_slice(black_box(&xs));
+        ap_nn::tanh_in_place(&mut buf);
+        black_box(&buf);
+    });
+    println!("{}", kernel.report());
+    let per_value = |s: f64| s / ACT_VALUES as f64 * 1e9;
+    println!(
+        "   per value {:.1} ns vs {:.1} ns, speedup {:.2}x",
+        per_value(libm.median),
+        per_value(kernel.median),
+        libm.median / kernel.median
+    );
+    Json::obj(vec![
+        ("values", Json::Num(ACT_VALUES as f64)),
+        ("runs", Json::Num(RUNS as f64)),
+        ("libm_median_s", Json::Num(libm.median)),
+        ("kernel_median_s", Json::Num(kernel.median)),
+        ("speedup", Json::Num(libm.median / kernel.median)),
+        ("slice_equals_scalar", Json::Bool(true)),
+    ])
 }

@@ -2,6 +2,7 @@
 
 use crate::linear::clone_cache;
 use crate::matrix::Matrix;
+use crate::tanh::{tanh, tanh_in_place};
 
 /// Supported activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,9 +23,19 @@ impl ActKind {
     pub fn apply(self, x: f64) -> f64 {
         match self {
             ActKind::Relu => x.max(0.0),
-            ActKind::Tanh => x.tanh(),
+            ActKind::Tanh => tanh(x),
             ActKind::Sigmoid => sigmoid(x),
             ActKind::Identity => x,
+        }
+    }
+
+    /// [`ActKind::apply`] to every value of `xs`, in place and bit-equal
+    /// to it; tanh runs as a slice kernel.
+    pub fn apply_in_place(self, xs: &mut [f64]) {
+        match self {
+            ActKind::Tanh => tanh_in_place(xs),
+            ActKind::Identity => {}
+            _ => xs.iter_mut().for_each(|x| *x = self.apply(*x)),
         }
     }
 
@@ -105,9 +116,7 @@ impl Activation {
         if self.kind == ActKind::Identity {
             return x;
         }
-        for v in x.data_mut() {
-            *v = self.kind.apply(*v);
-        }
+        self.kind.apply_in_place(x.data_mut());
         self.cached_out
             .get_or_insert_with(|| Matrix::scratch(0, 0))
             .clone_from(&x);

@@ -9,7 +9,8 @@
 //!   operations the layers need,
 //! * [`Linear`], [`Activation`], [`LstmCell`] / [`Lstm`] — layers with full
 //!   backward passes (BPTT for the LSTM), all gradient-checked against
-//!   finite differences in the test suite,
+//!   finite differences in the test suite; every tanh among them is the
+//!   in-tree [`tanh`], whose bits do not depend on the host's libm,
 //! * [`Mlp`] — a sequential fully-connected network,
 //! * losses ([`mse_loss`], [`softmax_cross_entropy`]) and
 //! * optimizers ([`Sgd`], [`Adam`]).
@@ -22,12 +23,14 @@
 //! nothing here starts a thread.
 
 pub mod activation;
+mod lane;
 pub mod linear;
 pub mod loss;
 pub mod lstm;
 pub mod matrix;
 pub mod mlp;
 pub mod optim;
+mod tanh;
 
 pub use activation::{ActKind, Activation};
 pub use linear::Linear;
@@ -36,6 +39,7 @@ pub use lstm::{Lstm, LstmCell};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use optim::{Adam, Optimizer, Sgd};
+pub use tanh::{tanh, tanh_in_place};
 
 /// A trainable parameter tensor paired with its gradient accumulator.
 #[derive(Debug)]

@@ -7,6 +7,7 @@
 
 use crate::activation::sigmoid;
 use crate::matrix::Matrix;
+use crate::tanh::tanh;
 use crate::Param;
 
 /// Cached intermediates of one time step, needed by BPTT.
@@ -77,12 +78,12 @@ impl LstmCell {
             for j in 0..hn {
                 i.set(r, j, sigmoid(a.get(r, j)));
                 f.set(r, j, sigmoid(a.get(r, hn + j)));
-                g.set(r, j, a.get(r, 2 * hn + j).tanh());
+                g.set(r, j, tanh(a.get(r, 2 * hn + j)));
                 o.set(r, j, sigmoid(a.get(r, 3 * hn + j)));
             }
         }
         let c_new = f.hadamard(c).also_add(&i.hadamard(&g));
-        let tanh_c = c_new.map(f64::tanh);
+        let tanh_c = c_new.map(tanh);
         let h_new = o.hadamard(&tanh_c);
         let cache = StepCache {
             z,

@@ -1,5 +1,6 @@
 //! Dense row-major matrix with the operations the layers need.
 
+use crate::lane::{Lane, Packed};
 use ap_rng::Rng;
 use std::cell::RefCell;
 
@@ -348,121 +349,6 @@ struct Operand<'a> {
     rs: usize,
     cs: usize,
 }
-
-/// A vector of accumulators the micro-kernel is written against: `N`
-/// `f64`s updated as one. The kernel body is generic over it, so the
-/// 512-bit build and the portable one run the same loop.
-trait Lane: Copy {
-    /// `f64`s per lane.
-    const N: usize;
-    fn zero() -> Self;
-    /// Every slot `x`.
-    fn splat(x: f64) -> Self;
-    /// The first `N` values of `src`.
-    fn load(src: &[f64]) -> Self;
-    /// The first `V * N` values of `src`, as `V` lanes.
-    #[inline(always)]
-    fn load_row<const V: usize>(src: &[f64]) -> [Self; V] {
-        let src = &src[..V * Self::N];
-        let mut row = [Self::zero(); V];
-        for (v, lane) in row.iter_mut().enumerate() {
-            *lane = Self::load(&src[v * Self::N..]);
-        }
-        row
-    }
-    /// `self + a * b` per slot: an IEEE multiply, then an IEEE add.
-    /// Never fused, so the bits are the scalar expression's.
-    fn mul_add(self, a: Self, b: Self) -> Self;
-    /// Write the `N` slots to the front of `dst`.
-    fn store(self, dst: &mut [f64]);
-}
-
-/// The portable lane: one `f64`. A row of them is a plain array loop,
-/// which LLVM vectorizes to whatever width the target prefers.
-impl Lane for f64 {
-    const N: usize = 1;
-
-    #[inline(always)]
-    fn zero() -> Self {
-        0.0
-    }
-
-    #[inline(always)]
-    fn splat(x: f64) -> Self {
-        x
-    }
-
-    #[inline(always)]
-    fn load(src: &[f64]) -> Self {
-        src[0]
-    }
-
-    /// One fixed-size copy, the row load the portable kernel's codegen
-    /// was tuned with.
-    #[inline(always)]
-    fn load_row<const V: usize>(src: &[f64]) -> [Self; V] {
-        *<&[f64; V]>::try_from(&src[..V]).expect("V-long slice")
-    }
-
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
-
-    #[inline(always)]
-    fn store(self, dst: &mut [f64]) {
-        dst[0] = self;
-    }
-}
-
-/// One 512-bit register of eight `f64`s. LLVM prefers 256-bit vectors
-/// even where AVX-512 is enabled, so the packed kernel names the
-/// register width itself instead of relying on autovectorization.
-#[cfg(target_feature = "avx512f")]
-#[derive(Clone, Copy)]
-struct Zmm(std::arch::x86_64::__m512d);
-
-#[cfg(target_feature = "avx512f")]
-impl Lane for Zmm {
-    const N: usize = 8;
-
-    #[inline(always)]
-    fn zero() -> Self {
-        // SAFETY (every intrinsic here): this build enables AVX-512F.
-        Zmm(unsafe { std::arch::x86_64::_mm512_setzero_pd() })
-    }
-
-    #[inline(always)]
-    fn splat(x: f64) -> Self {
-        Zmm(unsafe { std::arch::x86_64::_mm512_set1_pd(x) })
-    }
-
-    #[inline(always)]
-    fn load(src: &[f64]) -> Self {
-        let src = &src[..8];
-        // SAFETY: `src` holds the eight values the unaligned load reads.
-        Zmm(unsafe { std::arch::x86_64::_mm512_loadu_pd(src.as_ptr()) })
-    }
-
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        use std::arch::x86_64::{_mm512_add_pd, _mm512_mul_pd};
-        Zmm(unsafe { _mm512_add_pd(self.0, _mm512_mul_pd(a.0, b.0)) })
-    }
-
-    #[inline(always)]
-    fn store(self, dst: &mut [f64]) {
-        let dst = &mut dst[..8];
-        // SAFETY: `dst` holds the eight slots the unaligned store writes.
-        unsafe { std::arch::x86_64::_mm512_storeu_pd(dst.as_mut_ptr(), self.0) }
-    }
-}
-
-/// The lane of the packed (multi-row) kernel.
-#[cfg(target_feature = "avx512f")]
-type Packed = Zmm;
-#[cfg(not(target_feature = "avx512f"))]
-type Packed = f64;
 
 /// Rows of the register block: `MR` rows of `a` share every load of `b`.
 /// The `MR x NR` accumulators must stay in registers for the whole `k`

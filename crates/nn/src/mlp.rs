@@ -150,7 +150,7 @@ impl Mlp {
         let mut h = x.clone();
         for (l, a) in self.layers.iter().zip(&self.acts) {
             h = l.forward_inference(&h);
-            h = h.map(|v| a.kind.apply(v));
+            a.kind.apply_in_place(h.data_mut());
         }
         h
     }

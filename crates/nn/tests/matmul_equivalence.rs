@@ -5,7 +5,7 @@
 //! blocking or operand layout.
 
 use ap_nn::activation::sigmoid;
-use ap_nn::{Linear, Lstm, Matrix};
+use ap_nn::{tanh, Linear, Lstm, Matrix};
 
 /// The original serial kernel, kept verbatim as the reference semantics
 /// (including the `a == 0.0` skip, which affects NaN propagation).
@@ -279,12 +279,12 @@ fn lstm_reference(lstm: &Lstm, seq: &[Matrix], grad_h: &Matrix) -> (Matrix, Matr
         let (i, f, g, o) = (
             gate(0, sigmoid),
             gate(hn, sigmoid),
-            gate(2 * hn, f64::tanh),
+            gate(2 * hn, tanh),
             gate(3 * hn, sigmoid),
         );
         let mut c_new = f.hadamard(&c);
         c_new.add_assign(&i.hadamard(&g));
-        let tanh_c = c_new.map(f64::tanh);
+        let tanh_c = c_new.map(tanh);
         h = o.hadamard(&tanh_c);
         steps.push((z, i, f, g, o, c, tanh_c));
         c = c_new;
